@@ -256,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "faultload JSON file (e.g. a hang "
                              "reproducer uploaded by CI) instead of "
                              "drawing one")
-    inject.add_argument("--kind", choices=("stuck", "reg_flip", "mem_flip"),
+    inject.add_argument("--kind",
+                        choices=("stuck", "reg_flip", "mem_flip",
+                                 "mutation"),
                         default="stuck",
                         help="fault kind to draw (default: stuck)")
     inject.add_argument("--seed", type=int, default=0,
@@ -295,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "lockstep lanes)")
     campaign.add_argument("--kinds", metavar="LIST", default=None,
                           help="comma-separated fault kinds to draw "
-                               "(default: stuck,reg_flip,mem_flip)")
+                               "(default: stuck,reg_flip,mem_flip; "
+                               "'mutation' draws compiler-bug mutants)")
     campaign.add_argument("--hang-factor", type=_positive_int, default=4,
                           help="hang budget = baseline cycles x this "
                                "(default 4)")
@@ -814,20 +817,13 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    from .apps import CASE_BUILDERS, suite_case
     from .core.faults import run_campaign
 
-    if args.case not in CASE_BUILDERS:
-        print(f"error: unknown case {args.case!r}; "
-              f"known: {sorted(CASE_BUILDERS)}", file=sys.stderr)
+    compiled = _compile_injectable(args.case, args.seed)
+    if compiled is None:
         return 2
-    case = suite_case(args.case, **SUITE_SIZES.get(args.case, {}))
-    design = case.compile()
-    if design.multi_configuration:
-        print(f"error: {args.case} compiles to multiple configurations; "
-              f"fault injection needs a single one", file=sys.stderr)
-        return 2
-    result = run_campaign(design, case.func, case.inputs(args.seed),
+    case, design, inputs = compiled
+    result = run_campaign(design, case.func, inputs,
                           sample=args.sample, seed=args.seed,
                           limit_per_kind=args.limit_per_kind,
                           max_cycles=2_000_000)
@@ -856,34 +852,53 @@ def _compile_injectable(case_name: str, seed: int):
     return case, design, case.inputs(seed) if case.inputs else None
 
 
+def _read_faultload(path: str):
+    """The descriptors in faultload *path*, or None after an error."""
+    from .inject import load_faultload
+
+    if not Path(path).exists():
+        print(f"error: no faultload at {path}", file=sys.stderr)
+        return None
+    try:
+        return load_faultload(path)
+    except ValueError as exc:
+        print(f"error: bad faultload {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def _faultload(case, design, inputs, replay, *, n: int, kinds, seed: int,
+               backend: str, max_cycles: int = 1_000_000):
+    """Shared by inject/campaign: the replayed or freshly drawn
+    faultload, or an exit status after printing the error."""
+    from .inject import FaultloadGenerator, run_injection
+
+    if replay:
+        faults = _read_faultload(replay)
+        return 2 if faults is None else faults
+    # size the upset window from the fault-free run, so transient
+    # flips land while the design is live
+    baseline = run_injection(design, case.func, None, inputs,
+                             backend=backend, max_cycles=max_cycles)
+    if baseline.verdict != "masked":
+        print(f"error: fault-free baseline classifies as "
+              f"{baseline.verdict!r} ({baseline.note})", file=sys.stderr)
+        return 1
+    return FaultloadGenerator(design, seed=seed, max_cycle=baseline.cycles) \
+        .generate(n, kinds=kinds)
+
+
 def _cmd_inject(args) -> int:
-    from .inject import (FaultloadGenerator, load_faultload, run_injection,
-                         save_faultload)
+    from .inject import run_injection, save_faultload
 
     compiled = _compile_injectable(args.case, args.seed)
     if compiled is None:
         return 2
     case, design, inputs = compiled
-
-    if args.replay:
-        if not Path(args.replay).exists():
-            print(f"error: no faultload at {args.replay}", file=sys.stderr)
-            return 2
-        faults = load_faultload(args.replay)
-    else:
-        # size the upset window from the fault-free run, so transient
-        # flips land while the design is live
-        baseline = run_injection(design, case.func, None, inputs,
-                                 backend=args.backend,
-                                 max_cycles=args.max_cycles)
-        if baseline.verdict != "masked":
-            print(f"error: fault-free baseline classifies as "
-                  f"{baseline.verdict!r} ({baseline.note})",
-                  file=sys.stderr)
-            return 1
-        generator = FaultloadGenerator(design, seed=args.seed,
-                                       max_cycle=baseline.cycles)
-        faults = generator.generate(1, kinds=(args.kind,))
+    faults = _faultload(case, design, inputs, args.replay, n=1,
+                        kinds=(args.kind,), seed=args.seed,
+                        backend=args.backend, max_cycles=args.max_cycles)
+    if isinstance(faults, int):
+        return faults
 
     for fault in faults:
         result = run_injection(design, case.func, fault, inputs,
@@ -943,42 +958,27 @@ def _triage_campaign_sdc(report, design, func, inputs, args,
 
 
 def _cmd_campaign(args) -> int:
-    from .inject import (FaultloadGenerator, load_faultload, run_campaign,
-                         run_injection, save_faultload)
-    from .inject.faultload import FAULT_KINDS
+    from .inject import run_campaign, save_faultload
+    from .inject.faultload import DEFAULT_KINDS, FAULT_KINDS
     from .obs.ledger import ledger_from_env
 
     compiled = _compile_injectable(args.case, args.seed)
     if compiled is None:
         return 2
     case, design, inputs = compiled
-
-    if args.faultload:
-        if not Path(args.faultload).exists():
-            print(f"error: no faultload at {args.faultload}",
-                  file=sys.stderr)
-            return 2
-        faults = load_faultload(args.faultload)
-    else:
-        kinds = FAULT_KINDS
-        if args.kinds:
-            kinds = tuple(name.strip() for name in args.kinds.split(",")
-                          if name.strip())
-            unknown = [name for name in kinds if name not in FAULT_KINDS]
-            if unknown:
-                print(f"error: unknown fault kind(s) {unknown}; "
-                      f"known: {list(FAULT_KINDS)}", file=sys.stderr)
-                return 2
-        probe = run_injection(design, case.func, None, inputs,
-                              backend=args.backend
-                              if args.backend != "batched" else "compiled")
-        if probe.verdict != "masked":
-            print(f"error: fault-free baseline classifies as "
-                  f"{probe.verdict!r} ({probe.note})", file=sys.stderr)
-            return 1
-        generator = FaultloadGenerator(design, seed=args.seed,
-                                       max_cycle=probe.cycles)
-        faults = generator.generate(args.faults, kinds=kinds)
+    kinds = tuple(name.strip() for name in (args.kinds or "").split(",")
+                  if name.strip()) or DEFAULT_KINDS
+    unknown = [name for name in kinds if name not in FAULT_KINDS]
+    if unknown:
+        print(f"error: unknown fault kind(s) {unknown}; "
+              f"known: {list(FAULT_KINDS)}", file=sys.stderr)
+        return 2
+    faults = _faultload(case, design, inputs, args.faultload,
+                        n=args.faults, kinds=kinds, seed=args.seed,
+                        backend=args.backend
+                        if args.backend != "batched" else "compiled")
+    if isinstance(faults, int):
+        return faults
 
     ledger = ledger_from_env(args.ledger)
     try:
@@ -1015,13 +1015,10 @@ def _cmd_campaign(args) -> int:
 
 def _fault_from_file(spec: str):
     """Resolve a ``--fault FILE[:ID]`` spec to one descriptor."""
-    from .inject import load_faultload
-
     path, _, fault_id = spec.partition(":")
-    if not Path(path).exists():
-        print(f"error: no faultload at {path}", file=sys.stderr)
+    faults = _read_faultload(path)
+    if faults is None:
         return None
-    faults = load_faultload(path)
     if not faults:
         print(f"error: faultload {path} is empty", file=sys.stderr)
         return None

@@ -13,7 +13,7 @@ their diagnostics (mismatch triples, error messages) stay live, and so a
 fixed compiler immediately re-verifies them.
 
 Entries are single JSON files named by the SHA-256 of the key material,
-safe for concurrent writers (atomic rename) and trivially inspectable.
+kept in a :class:`ContentStore` — the store under the kernel cache too.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from ..obs.coverage import CoverageReport
 from .report import ConfigurationMetrics, DesignMetrics
 from .verification import MemoryCheck, VerificationResult
 
-__all__ = ["ArtifactCache", "case_key", "structure_key",
+__all__ = ["ArtifactCache", "ContentStore", "case_key", "structure_key",
            "result_to_payload", "result_from_payload"]
 
 #: bump when the cached payload layout or run semantics change
@@ -210,6 +210,81 @@ def result_from_payload(payload: dict, *, cached: bool = False):
     )
 
 
+# ----------------------------------------------------------------------
+# The content-addressed store under both disk caches
+# ----------------------------------------------------------------------
+class ContentStore:
+    """One ``<key>.json`` document per key (a key may carry one
+    ``namespace/`` prefix), stamped with fields a reader must find
+    unchanged (a schema version, the bytecode magic).
+
+    Writes are atomic (tempfile + :func:`os.replace`); an unreadable,
+    non-object or wrongly stamped entry is a miss; :meth:`clear` also
+    sweeps ``*.tmp`` files orphaned by writers killed mid-write.  A
+    store owns its directory and the namespace directories below it.
+    """
+
+    def __init__(self, root: Union[str, Path],
+                 stamp: Mapping[str, object]) -> None:
+        self.root = Path(root)
+        self.stamp = dict(stamp)
+        self.errors = 0  # corrupt reads plus failed writes
+
+    def read(self, key: str) -> Optional[dict]:
+        """The entry under *key*, or ``None`` (absent, corrupt or
+        stamped by another version)."""
+        try:
+            payload = json.loads((self.root / f"{key}.json").read_text())
+        except OSError:
+            return None
+        except ValueError:
+            payload = None
+        if not isinstance(payload, dict):
+            self.errors += 1
+            return None
+        stale = any(payload.get(name) != value
+                    for name, value in self.stamp.items())
+        return None if stale else payload
+
+    def write(self, key: str, payload: Mapping) -> bool:
+        """Atomically store *payload*, stamped, under *key*; ``False``
+        when the directory is unwritable."""
+        path = self.root / f"{key}.json"
+        staging = None
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle, staging = tempfile.mkstemp(dir=path.parent,
+                                               suffix=".tmp")
+            with os.fdopen(handle, "w") as stream:
+                json.dump({**payload, **self.stamp}, stream)
+            os.replace(staging, path)
+            staging = None
+            return True
+        except OSError:
+            self.errors += 1
+            return False
+        finally:  # a failed write leaves no staging file behind
+            if staging is not None:
+                try:
+                    os.unlink(staging)
+                except OSError:
+                    pass
+
+    def clear(self) -> int:
+        """Delete every entry and orphaned staging file; returns how
+        many entries were removed."""
+        removed = 0
+        for pattern in ("*.json", "*.tmp", "*/*.json", "*/*.tmp"):
+            for path in self.root.glob(pattern):
+                try:
+                    path.unlink()
+                except OSError:
+                    self.errors += 1
+                    continue
+                removed += path.suffix == ".json"
+        return removed
+
+
 class ArtifactCache:
     """Directory-backed result cache keyed by case content."""
 
@@ -219,6 +294,7 @@ class ArtifactCache:
             raise NotADirectoryError(
                 f"cache path {self.root} exists and is not a directory")
         self.root.mkdir(parents=True, exist_ok=True)
+        self._store = ContentStore(self.root, {"version": _CACHE_VERSION})
         self.hits = 0
         self.misses = 0
 
@@ -231,20 +307,11 @@ class ArtifactCache:
         return case_key(case, seed=seed, fsm_mode=fsm_mode,
                         backend=backend, coverage=coverage, batch=batch)
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
     # -- load / store ---------------------------------------------------
     def load(self, key: str):
         """The cached :class:`CaseResult` for *key*, or ``None``."""
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if payload.get("version") != _CACHE_VERSION \
-                or payload.get("metrics") is None \
+        payload = self._store.read(key)
+        if payload is None or payload.get("metrics") is None \
                 or payload.get("verification") is None:
             self.misses += 1
             return None
@@ -256,20 +323,7 @@ class ArtifactCache:
         if not result.passed or result.verification is None \
                 or result.metrics is None:
             return False
-        payload = result_to_payload(result)
-        path = self._path(key)
-        handle, staging = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(payload, stream)
-            os.replace(staging, path)
-        except OSError:
-            try:
-                os.unlink(staging)
-            except OSError:
-                pass
-            return False
-        return True
+        return self._store.write(key, result_to_payload(result))
 
     def summary(self) -> str:
         """One-line hit/miss account, printed when ``--cache`` is active."""
@@ -280,12 +334,6 @@ class ArtifactCache:
                 f"{rate}, {entries} entr(ies) in {self.root}")
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for path in self.root.glob("*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        """Delete every entry and orphaned ``*.tmp`` staging file;
+        returns how many entries were removed."""
+        return self._store.clear()

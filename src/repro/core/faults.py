@@ -20,17 +20,18 @@ one:
   too far (skipped control step).
 
 Faults are applied to *copies* made through the XML dialects (write →
-read), so the campaign also exercises serialisation.  Each injected
-design runs through :func:`repro.core.verification.verify_design`; the
-verdict per fault is ``detected`` (memory mismatch), ``crashed``
-(simulation error/timeout — also a detection) or ``survived``.
+read), so the campaign also exercises serialisation.  Campaigns run on
+the one fault-campaign engine, :func:`repro.inject.run_campaign`, as
+``mutation`` descriptors; the verdict per fault is ``detected`` (memory
+mismatch: ``sdc``), ``crashed`` (``hang`` or ``crash`` — also a
+detection) or ``survived`` (``masked``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..compiler.pipeline import Configuration, Design
 from ..hdl.model.datapath import Datapath
@@ -38,11 +39,12 @@ from ..hdl.model.fsm import DONE_OUTPUT, Fsm
 from ..hdl.model.rtg import Rtg
 from ..hdl.xmlio.datapath_xml import read_datapath, write_datapath
 from ..hdl.xmlio.fsm_xml import read_fsm, write_fsm
-from ..sim.errors import SimulationError
-from .verification import verify_design
 
-__all__ = ["Fault", "FaultVerdict", "CampaignResult", "enumerate_faults",
-           "inject_fault", "run_campaign"]
+__all__ = ["Fault", "FaultVerdict", "CampaignResult", "MUTATION_KINDS",
+           "enumerate_faults", "inject_fault", "run_campaign"]
+
+MUTATION_KINDS = ("const_value", "cmp_op", "mux_swap", "branch_swap",
+                  "stuck_control", "wrong_state_order")
 
 _CMP_NEIGHBOUR = {"lt": "le", "le": "lt", "gt": "ge", "ge": "gt",
                   "eq": "ne", "ne": "eq"}
@@ -165,11 +167,6 @@ def enumerate_faults(datapath: Datapath, fsm: Fsm,
 # ----------------------------------------------------------------------
 # Fault application (on XML-roundtripped copies)
 # ----------------------------------------------------------------------
-def _copy_configuration(config: Configuration) -> Tuple[Datapath, Fsm]:
-    return (read_datapath(write_datapath(config.datapath)),
-            read_fsm(write_fsm(config.fsm)))
-
-
 def _apply(fault: Fault, datapath: Datapath, fsm: Fsm) -> None:
     if fault.kind == "const_value":
         decl = datapath.components[fault.target]
@@ -204,13 +201,19 @@ def _apply(fault: Fault, datapath: Datapath, fsm: Fsm) -> None:
         raise ValueError(f"unknown fault kind {fault.kind!r}")
 
 
-def inject_fault(design: Design, fault: Fault) -> Design:
-    """A copy of *design* with *fault* applied (single-configuration)."""
+def single_configuration(design: Design) -> Configuration:
+    """The one configuration of a design fault injection can target."""
     if design.multi_configuration:
         raise ValueError("fault injection supports single-configuration "
                          "designs")
-    config = design.configurations[0]
-    datapath, fsm = _copy_configuration(config)
+    return design.configurations[0]
+
+
+def inject_fault(design: Design, fault: Fault) -> Design:
+    """A copy of *design* with *fault* applied (single-configuration)."""
+    config = single_configuration(design)
+    datapath = read_datapath(write_datapath(config.datapath))
+    fsm = read_fsm(write_fsm(config.fsm))
     _apply(fault, datapath, fsm)
 
     rtg = Rtg(design.rtg.name)
@@ -230,6 +233,10 @@ def inject_fault(design: Design, fault: Fault) -> Design:
 # ----------------------------------------------------------------------
 # Campaign
 # ----------------------------------------------------------------------
+_SEED_VERDICT = {"sdc": "detected", "masked": "survived",
+                 "hang": "crashed", "crash": "crashed"}
+
+
 def run_campaign(design: Design, func: Callable,
                  inputs: Optional[Mapping] = None,
                  *,
@@ -240,16 +247,16 @@ def run_campaign(design: Design, func: Callable,
                  sample: Optional[int] = None) -> CampaignResult:
     """Inject each fault and record whether verification catches it.
 
+    The faults run as ``mutation`` descriptors through
+    :func:`repro.inject.run_campaign` on the event kernel, serially.
     The unmutated design must verify cleanly first (a failing baseline
-    would make every verdict meaningless).
+    would make every verdict meaningless); its cycle count sets the
+    hang budget, which *max_cycles* caps.
     """
-    baseline = verify_design(design, func, inputs, max_cycles=max_cycles)
-    if not baseline.passed:
-        raise ValueError(
-            f"baseline design does not verify:\n{baseline.summary()}"
-        )
+    from ..inject import FaultDescriptor
+    from ..inject import run_campaign as inject_campaign
 
-    config = design.configurations[0]
+    config = single_configuration(design)
     if faults is None:
         faults = enumerate_faults(config.datapath, config.fsm,
                                   limit_per_kind=limit_per_kind)
@@ -257,21 +264,10 @@ def run_campaign(design: Design, func: Callable,
         rng = random.Random(seed if seed is not None else 2005)
         faults = rng.sample(faults, sample)
 
-    result = CampaignResult()
-    for fault in faults:
-        try:
-            mutated = inject_fault(design, fault)
-            outcome = verify_design(mutated, func, inputs,
-                                    max_cycles=max_cycles)
-        except (SimulationError, ValueError, KeyError) as exc:
-            result.verdicts.append(FaultVerdict(
-                fault, "crashed", note=f"{type(exc).__name__}: {exc}"))
-            continue
-        if outcome.passed:
-            result.verdicts.append(FaultVerdict(fault, "survived"))
-        else:
-            failing = ", ".join(check.memory
-                                for check in outcome.failed_checks())
-            result.verdicts.append(FaultVerdict(
-                fault, "detected", note=f"mismatch in {failing}"))
-    return result
+    descriptors = [FaultDescriptor.from_mutation(fault, f"m{index:05d}")
+                   for index, fault in enumerate(faults)]
+    report = inject_campaign(design, func, descriptors, inputs,
+                             backend="event", max_cycles=max_cycles)
+    return CampaignResult([
+        FaultVerdict(fault, _SEED_VERDICT[result.verdict], note=result.note)
+        for fault, result in zip(faults, report.results)])

@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import compile_function
 from ..compiler.spec import MemorySpec
-from ..golden.runner import run_golden
 from ..hdl.xmlio.rtg_xml import load_rtg_bundle
 from ..obs.coverage import CoverageCollector
 from ..obs.trace import span
@@ -37,7 +36,7 @@ from ..translate.engine import translate
 from ..translate.to_python import fsm_to_python, rtg_to_python
 from ..util.files import MemoryImage, compare_images
 from .stimulus import write_stimulus_files
-from .verification import MemoryCheck, prepare_images
+from .verification import MemoryCheck, golden_result, prepare_images
 
 __all__ = ["FlowStage", "StageResult", "FlowReport", "Flow",
            "standard_flow"]
@@ -177,13 +176,7 @@ def standard_flow(func: Callable,
         return f"{len(stimulus)} memory file(s)"
 
     def stage_golden(ctx: Dict[str, Any]) -> str:
-        design = ctx["design"]
-        specs = {name: spec for name, spec in design.arrays.items()
-                 if name != SPILL_MEMORY}
-        golden = {name: image.copy()
-                  for name, image in ctx["images"].items()
-                  if name != SPILL_MEMORY}
-        run_golden(func, specs, golden, design.params)
+        golden = golden_result(ctx["design"], func, ctx["images"])
         ctx["golden_images"] = golden
         return f"{len(golden)} memory(ies)"
 

@@ -20,8 +20,9 @@ Two layers:
 Entries are self-validating: each payload records the cache schema
 version and the interpreter's bytecode magic, so a cache directory
 shared across Python versions or library upgrades degrades to misses,
-never to wrong code.  All disk writes are atomic (tempfile + rename),
-all reads treat any corruption as a miss.
+never to wrong code.  The disk layer is the
+:class:`~repro.core.cache.ContentStore` the artifact cache also uses:
+atomic writes, corruption as a miss, a tmp sweep on ``clear``.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import importlib.util
-import json
 import marshal
 import os
-import tempfile
 from pathlib import Path
 from types import CodeType
 from typing import Dict, Optional, Tuple
+
+from .cache import ContentStore
 
 __all__ = ["KernelCache", "default_cache", "set_default_cache",
            "digest_parts", "datapath_digest", "fsm_digest",
@@ -46,6 +47,9 @@ _SCHEMA_VERSION = 1
 
 #: interpreter bytecode magic, base64 for JSON transport
 _MAGIC = base64.b64encode(importlib.util.MAGIC_NUMBER).decode("ascii")
+
+#: what every disk entry must carry to be loaded
+_STAMP = {"v": _SCHEMA_VERSION, "magic": _MAGIC}
 
 
 # ----------------------------------------------------------------------
@@ -60,42 +64,59 @@ def digest_parts(*parts) -> str:
     return h.hexdigest()
 
 
-def datapath_digest(datapath) -> str:
-    """Hash everything about a datapath that code generation can see.
-
-    Memoised on the model object (``_digest_memo``): re-elaborating the
-    same design — the benchmark harness and the parallel suite runner
-    both do, many times — must not re-walk a few hundred declarations
-    per run.  The model's mutators clear the memo.
-    """
-    memo = getattr(datapath, "_digest_memo", None)
+def _memo_digest(model, records) -> str:
+    """SHA-256 over the field tuples ``records(model)`` yields, memoised
+    on the model object (``_digest_memo``; its mutators clear it)."""
+    memo = getattr(model, "_digest_memo", None)
     if memo is not None:
         return memo
     h = hashlib.sha256()
-
-    def w(*fields) -> None:
+    for fields in records(model):
         h.update("\x1f".join(map(str, fields)).encode("utf-8", "replace"))
         h.update(b"\x1e")
-
-    w("dp", datapath.name, datapath.width)
-    for comp in datapath.components.values():
-        w("comp", comp.name, comp.type, comp.width,
-          sorted(comp.params.items()))
-    for net in datapath.nets.values():
-        w("net", net.name, net.width, net.source,
-          ";".join(map(str, net.sinks)))
-    for line in datapath.controls.values():
-        w("ctl", line.name, line.width, ";".join(map(str, line.targets)))
-    for status in datapath.statuses.values():
-        w("status", status.name, status.source)
-    for mem in datapath.memories.values():
-        w("mem", mem.name, mem.width, mem.depth, mem.init, mem.role)
     digest = h.hexdigest()
     try:
-        datapath._digest_memo = digest
+        model._digest_memo = digest
     except AttributeError:  # duck-typed stand-ins without a dict
         pass
     return digest
+
+
+def _datapath_records(datapath):
+    yield "dp", datapath.name, datapath.width
+    for comp in datapath.components.values():
+        yield ("comp", comp.name, comp.type, comp.width,
+               sorted(comp.params.items()))
+    for net in datapath.nets.values():
+        yield ("net", net.name, net.width, net.source,
+               ";".join(map(str, net.sinks)))
+    for line in datapath.controls.values():
+        yield "ctl", line.name, line.width, ";".join(map(str, line.targets))
+    for status in datapath.statuses.values():
+        yield "status", status.name, status.source
+    for mem in datapath.memories.values():
+        yield "mem", mem.name, mem.width, mem.depth, mem.init, mem.role
+
+
+def _fsm_records(fsm):
+    yield ("fsm", fsm.name, fsm.reset_state, sorted(fsm.final_states),
+           list(fsm.inputs))
+    for decl in fsm.outputs.values():
+        yield "out", decl.name, decl.width, decl.default
+    for state in fsm.states.values():
+        yield "state", state.name, sorted(state.assigns.items())
+        for transition in state.transitions:
+            yield "tr", transition.condition.to_python(), transition.target
+
+
+def datapath_digest(datapath) -> str:
+    """Hash everything about a datapath that code generation can see.
+
+    Memoised on the model object: re-elaborating the same design — the
+    benchmark harness and the parallel suite runner both do, many
+    times — must not re-walk a few hundred declarations per run.
+    """
+    return _memo_digest(datapath, _datapath_records)
 
 
 def fsm_digest(fsm) -> str:
@@ -104,29 +125,7 @@ def fsm_digest(fsm) -> str:
     Memoised like :func:`datapath_digest`; ``Fsm`` mutators and the
     ``State`` helpers clear the memo through the state's owner link.
     """
-    memo = getattr(fsm, "_digest_memo", None)
-    if memo is not None:
-        return memo
-    h = hashlib.sha256()
-
-    def w(*fields) -> None:
-        h.update("\x1f".join(map(str, fields)).encode("utf-8", "replace"))
-        h.update(b"\x1e")
-
-    w("fsm", fsm.name, fsm.reset_state, sorted(fsm.final_states),
-      list(fsm.inputs))
-    for decl in fsm.outputs.values():
-        w("out", decl.name, decl.width, decl.default)
-    for state in fsm.states.values():
-        w("state", state.name, sorted(state.assigns.items()))
-        for transition in state.transitions:
-            w("tr", transition.condition.to_python(), transition.target)
-    digest = h.hexdigest()
-    try:
-        fsm._digest_memo = digest
-    except AttributeError:
-        pass
-    return digest
+    return _memo_digest(fsm, _fsm_records)
 
 
 def batch_group_key(datapath, fsm, fsm_mode: str = "generated") -> str:
@@ -154,49 +153,45 @@ class KernelCache:
     A payload is a JSON-serialisable dict; the associated code object is
     transported as marshalled bytes under the reserved ``"code"`` key.
     ``get`` returns ``(payload, code)`` and never raises — corruption,
-    version skew and I/O errors are all misses.
+    version skew and I/O errors are all misses.  The disk layer is a
+    :class:`~repro.core.cache.ContentStore` with one namespace per kind.
     """
 
     def __init__(self, root: Optional[Path] = None) -> None:
         #: ``None`` root means memory-only
         self.root = Path(root) if root is not None else None
+        self._disk = (ContentStore(self.root, _STAMP)
+                      if self.root is not None else None)
         self._memory: Dict[Tuple[str, str],
                            Tuple[dict, Optional[CodeType]]] = {}
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.stores = 0
-        self.errors = 0
+
+    @property
+    def errors(self) -> int:
+        """Corrupt entries read plus failed disk writes."""
+        return self._disk.errors if self._disk is not None else 0
 
     # ------------------------------------------------------------------
-    def _path(self, kind: str, key: str) -> Path:
-        return self.root / kind / f"{key}.json"
-
     def get(self, kind: str, key: str
             ) -> Tuple[Optional[dict], Optional[CodeType]]:
         cached = self._memory.get((kind, key))
         if cached is not None:
             self.memory_hits += 1
             return cached
-        if self.root is None:
+        payload = (self._disk.read(f"{kind}/{key}")
+                   if self._disk is not None else None)
+        if payload is None:
             self.misses += 1
             return None, None
         try:
-            raw = self._path(kind, key).read_text()
-        except OSError:
-            self.misses += 1
-            return None, None
-        try:
-            payload = json.loads(raw)
-            if payload.get("v") != _SCHEMA_VERSION \
-                    or payload.get("magic") != _MAGIC:
-                self.misses += 1
-                return None, None
             blob = payload.pop("code", None)
             code = (marshal.loads(base64.b64decode(blob))
                     if blob is not None else None)
         except Exception:  # noqa: BLE001 - any corruption is a miss
-            self.errors += 1
+            self._disk.errors += 1
             self.misses += 1
             return None, None
         self.disk_hits += 1
@@ -205,34 +200,17 @@ class KernelCache:
 
     def put(self, kind: str, key: str, payload: dict,
             code: Optional[CodeType] = None) -> None:
-        payload = dict(payload)
-        payload["v"] = _SCHEMA_VERSION
-        payload["magic"] = _MAGIC
+        payload = {**payload, **_STAMP}
         self._memory[(kind, key)] = (payload, code)
         self.stores += 1
-        if self.root is None:
+        if self._disk is None:
             return
         on_disk = dict(payload)
         if code is not None:
             on_disk["code"] = base64.b64encode(
                 marshal.dumps(code)).decode("ascii")
-        try:
-            path = self._path(kind, key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(on_disk, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # unwritable cache dir: degrade to memory-only for this entry
-            self.errors += 1
+        # an unwritable cache dir degrades to memory-only for this entry
+        self._disk.write(f"{kind}/{key}", on_disk)
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
@@ -241,14 +219,8 @@ class KernelCache:
         :func:`os.replace` (they are invisible to lookups but would
         otherwise accumulate forever)."""
         self._memory.clear()
-        if self.root is None or not self.root.exists():
-            return
-        for pattern in ("*/*.json", "*/*.tmp", "*.tmp"):
-            for path in self.root.glob(pattern):
-                try:
-                    path.unlink()
-                except OSError:
-                    self.errors += 1
+        if self._disk is not None:
+            self._disk.clear()
 
     def summary(self) -> Dict[str, object]:
         return {

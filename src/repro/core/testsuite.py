@@ -378,16 +378,11 @@ class TestSuite:
         report.wall_seconds = time.perf_counter() - suite_started
 
         if ledger is not None:
-            from ..obs.ledger import Ledger
-            owns = not isinstance(ledger, Ledger)
-            sink = Ledger(ledger) if owns else ledger
-            try:
+            from ..obs.ledger import ledger_sink
+            with ledger_sink(ledger) as sink:
                 sink.record_suite(
                     report, suite=self.name,
                     sizes={case.name: dict(case.params)
                            for case in self.cases},
                     cache=cache)
-            finally:
-                if owns:
-                    sink.close()
         return report

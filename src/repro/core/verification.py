@@ -28,7 +28,7 @@ from ..util.files import MemoryImage, MemoryMismatch, compare_images
 
 __all__ = ["MemoryCheck", "VerificationResult", "verify_design",
            "BatchVerificationResult", "verify_design_batch",
-           "prepare_images"]
+           "prepare_images", "golden_result"]
 
 
 @dataclass
@@ -129,6 +129,18 @@ def prepare_images(design: Design,
     return images
 
 
+def golden_result(design: Design, func: Callable,
+                  base_images: Mapping[str, MemoryImage]
+                  ) -> Dict[str, MemoryImage]:
+    """The golden software execution over copies of *base_images*
+    (every array but the spill memory)."""
+    array_specs = {name: spec for name, spec in design.arrays.items()
+                   if name != SPILL_MEMORY}
+    images = {name: base_images[name].copy() for name in array_specs}
+    run_golden(func, array_specs, images, design.params)
+    return images
+
+
 def verify_design(design: Design, func: Callable,
                   inputs: Optional[Mapping[str, Union[MemoryImage,
                                                       Sequence[int]]]] = None,
@@ -170,12 +182,9 @@ def verify_design(design: Design, func: Callable,
     array_specs = {name: spec for name, spec in design.arrays.items()
                    if name != SPILL_MEMORY}
 
-    golden_images = {name: image.copy()
-                     for name, image in base_images.items()
-                     if name != SPILL_MEMORY}
     started = time.perf_counter()
     with span("verify.golden", "verify", design=design.name):
-        run_golden(func, array_specs, golden_images, design.params)
+        golden_images = golden_result(design, func, base_images)
     golden_seconds = time.perf_counter() - started
 
     collector = CoverageCollector() if coverage else None
@@ -232,14 +241,9 @@ def verify_design(design: Design, func: Callable,
         probe_samples=probe_samples,
     )
     if ledger is not None:
-        from ..obs.ledger import Ledger
-        owns = not isinstance(ledger, Ledger)
-        sink = Ledger(ledger) if owns else ledger
-        try:
+        from ..obs.ledger import ledger_sink
+        with ledger_sink(ledger) as sink:
             sink.record_verification(result, size=design.params)
-        finally:
-            if owns:
-                sink.close()
     return result
 
 
@@ -353,12 +357,8 @@ def verify_design_batch(design: Design, func: Callable,
               batch=len(inputs_list)):
         for inputs in inputs_list:
             base_images = prepare_images(design, inputs)
-            golden_images = {name: image.copy()
-                             for name, image in base_images.items()
-                             if name != SPILL_MEMORY}
-            run_golden(func, array_specs, golden_images, design.params)
             lane_base.append(base_images)
-            lane_golden.append(golden_images)
+            lane_golden.append(golden_result(design, func, base_images))
     golden_seconds = time.perf_counter() - golden_started
 
     contexts = [ReconfigurationContext.from_rtg(design.rtg, initial=base)
@@ -435,12 +435,7 @@ def verify_design_batch(design: Design, func: Callable,
         fallback_reason=fallback_reason,
     )
     if ledger is not None:
-        from ..obs.ledger import Ledger
-        owns = not isinstance(ledger, Ledger)
-        sink = Ledger(ledger) if owns else ledger
-        try:
+        from ..obs.ledger import ledger_sink
+        with ledger_sink(ledger) as sink:
             sink.record_batch_verification(result, size=design.params)
-        finally:
-            if owns:
-                sink.close()
     return result

@@ -513,14 +513,9 @@ def run_campaign(iterations: int, *, seed: int = 0, jobs: int = 1,
         _WORKER_STATE = None
     report.wall_seconds = time.perf_counter() - started
     if ledger is not None:
-        from ..obs.ledger import Ledger
-        owns = not isinstance(ledger, Ledger)
-        sink = Ledger(ledger) if owns else ledger
-        try:
+        from ..obs.ledger import ledger_sink
+        with ledger_sink(ledger) as sink:
             sink.record_fuzz(report)
-        finally:
-            if owns:
-                sink.close()
     return report
 
 

@@ -1,12 +1,12 @@
-"""Simulation-based fault injection (SBFI) over compiled designs.
+"""The fault-campaign engine: simulation-based fault injection (SBFI).
 
-Where :mod:`repro.core.faults` qualifies the *infrastructure* by
-injecting compiler-bug-shaped mutations into the design description,
-this package injects *hardware-fault-shaped* upsets into the running
+This package injects *hardware-fault-shaped* upsets into the running
 simulation — bit-flips in registers and memory words, stuck-at lines,
-transient upsets pinned to an FSM state — and classifies each run
+transient upsets pinned to an FSM state — and *compiler-bug-shaped*
+mutations of the design (``mutation``), and classifies each run
 against the golden software execution as ``masked``, ``sdc`` (silent
 data corruption), ``hang`` (cycle-budget timeout) or ``crash``.
+:func:`repro.core.faults.run_campaign` is an adapter over it.
 
 The three layers:
 

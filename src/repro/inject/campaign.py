@@ -15,7 +15,8 @@ golden execution:
     (derived from the fault-free cycle count × ``hang_factor``).
 ``crash``
     The simulation itself failed — combinational loop from a forced
-    line, out-of-bounds write from a flipped address register, etc.
+    line, out-of-bounds write from a flipped address register, a
+    mutated design that no longer elaborates, etc.
 
 :func:`run_campaign` mirrors the test-suite fork pool: the design,
 golden images and faultload live in a module global that workers
@@ -30,6 +31,7 @@ times out (a hang poisons the whole batch's timeout signal).
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import time
 import traceback
@@ -42,8 +44,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import Design
-from ..core.verification import prepare_images
-from ..golden.runner import run_golden
+from ..core.faults import inject_fault, single_configuration
+from ..core.verification import golden_result, prepare_images
 from ..obs.trace import span
 from ..rtg.context import ReconfigurationContext
 from ..rtg.executor import RtgBatchExecutor, RtgExecutor
@@ -69,7 +71,7 @@ class InjectionResult:
     seconds: float
     note: str = ""
     #: how the fault took effect: kernel | watcher | cycle-hook |
-    #: image | none (fault-free baseline)
+    #: image | mutation | none (fault-free baseline)
     mechanism: str = "none"
 
 
@@ -157,27 +159,23 @@ def _classify(design: Design, context, golden_images, fault,
               mismatch_limit: int) -> InjectionResult:
     """Compare memories after a completed run (masked vs sdc).
 
-    Fault-free runs compare every array (the bit-exact differential
-    guarantee); faulted runs compare output-role arrays, since a
+    Fault-free and mutated runs compare every array (the bit-exact
+    differential guarantee, as ``verify_design(compare="all")``);
+    hardware-faulted runs compare output-role arrays, since a
     ``mem_flip`` on an input memory diverges from golden's pristine
     inputs by construction.
     """
-    diffs = []
+    outputs_only = fault is not None and fault.kind != "mutation"
     for name, spec in design.arrays.items():
-        if name == SPILL_MEMORY:
-            continue
-        if fault is not None and spec.role != "output":
+        if name == SPILL_MEMORY or (outputs_only and spec.role != "output"):
             continue
         mismatches = compare_images(golden_images[name],
                                     context.memory(name),
                                     limit=mismatch_limit)
         if mismatches:
-            diffs.append((name, mismatches))
-    if diffs:
-        name, mismatches = diffs[0]
-        return InjectionResult(
-            fault, "sdc", 0, 0.0,
-            note=f"{name}: {mismatches[0].describe(16)}")
+            return InjectionResult(
+                fault, "sdc", 0, 0.0,
+                note=f"{name}: {mismatches[0].describe(16)}")
     return InjectionResult(fault, "masked", 0, 0.0)
 
 
@@ -194,40 +192,37 @@ def run_injection(design: Design, func: Callable,
 
     *golden_images* (the fault-free software result) may be supplied to
     amortize the golden run across a campaign; when omitted it is
-    computed here from the same inputs.
+    computed here from the same inputs.  A ``mutation`` is applied to
+    a copy of *design* before elaboration; a copy that cannot be built
+    or elaborated classifies as ``crash``.
     """
     base_images = prepare_images(design, inputs)
     if golden_images is None:
-        array_specs = {name: spec for name, spec in design.arrays.items()
-                       if name != SPILL_MEMORY}
-        golden_images = {name: image.copy()
-                         for name, image in base_images.items()
-                         if name != SPILL_MEMORY}
-        run_golden(func, array_specs, golden_images, design.params)
+        golden_images = golden_result(design, func, base_images)
 
     mechanism = "none"
     if fault is not None and fault.kind == "mem_flip":
         apply_mem_flip(base_images, fault)
         mechanism = "image"
-
-    context = ReconfigurationContext.from_rtg(design.rtg,
-                                              initial=base_images)
-    executor = RtgExecutor(design.rtg, context, fsm_mode=fsm_mode,
-                           backend=backend,
-                           max_cycles_per_configuration=max_cycles)
+    elif fault is not None and fault.kind == "mutation":
+        mechanism = "mutation"
     handles: List = []
-    if fault is not None and fault.kind in ("stuck", "reg_flip"):
-        def arm(sim_design) -> None:
-            handles.append(attach_fault(sim_design, fault))
-
-        executor.on_configure = arm
-
     started = time.perf_counter()
     verdict: Optional[InjectionResult] = None
     cycles = 0
     with span("inject.run", "inject", design=design.name,
               fault=fault.fault_id if fault else "baseline"):
         try:
+            run_design = (inject_fault(design, fault.mutation)
+                          if mechanism == "mutation" else design)
+            context = ReconfigurationContext.from_rtg(run_design.rtg,
+                                                      initial=base_images)
+            executor = RtgExecutor(run_design.rtg, context,
+                                   fsm_mode=fsm_mode, backend=backend,
+                                   max_cycles_per_configuration=max_cycles)
+            if fault is not None and fault.kind in ("stuck", "reg_flip"):
+                executor.on_configure = lambda sim_design: handles.append(
+                    attach_fault(sim_design, fault))
             rtg_result = executor.run()
             cycles = rtg_result.total_cycles
         except SimulationTimeout:
@@ -255,9 +250,9 @@ def run_injection(design: Design, func: Callable,
 # Batched mem_flip lanes
 # ----------------------------------------------------------------------
 def _run_mem_flip_batch(design: Design, faults: Sequence[FaultDescriptor],
-                        inputs, golden_images, *, max_cycles: int,
-                        fsm_mode: str,
-                        mismatch_limit: int) -> List[InjectionResult]:
+                        inputs, golden_images, inject: Callable, *,
+                        max_cycles: int,
+                        fsm_mode: str) -> List[InjectionResult]:
     """Advance one injection per lane through a single elaboration.
 
     Falls back to serial :func:`run_injection` (batched backend) when
@@ -277,18 +272,13 @@ def _run_mem_flip_batch(design: Design, faults: Sequence[FaultDescriptor],
     try:
         batch_result = executor.run()
     except (BatchUnsupported, SimulationTimeout):
-        return [run_injection(design, None, fault, inputs,
-                              backend="batched", max_cycles=max_cycles,
-                              golden_images=golden_images,
-                              fsm_mode=fsm_mode,
-                              mismatch_limit=mismatch_limit)
-                for fault in faults]
+        return [inject(fault) for fault in faults]
     lane_seconds = (time.perf_counter() - started) / max(len(faults), 1)
 
     results: List[InjectionResult] = []
     for lane, fault in enumerate(faults):
         result = _classify(design, contexts[lane], golden_images, fault,
-                           mismatch_limit)
+                           mismatch_limit=8)
         result.cycles = batch_result.lanes[lane].total_cycles
         result.seconds = lane_seconds
         result.mechanism = "image"
@@ -302,22 +292,18 @@ def _run_mem_flip_batch(design: Design, faults: Sequence[FaultDescriptor],
 # Worker-side handle: the design and golden images do not need to be
 # pickled — with the fork start method the children inherit this module
 # global, and the parent ships only a fault index per task.
-_ACTIVE_CAMPAIGN: Optional[dict] = None
+_ACTIVE_CAMPAIGN: Optional[tuple] = None  # (injector, faultload)
 
 
 def _pool_inject(index: int) -> InjectionResult:
     """Worker entry point; must never raise (see testsuite._pool_run)."""
     try:
-        c = _ACTIVE_CAMPAIGN
-        return run_injection(c["design"], c["func"], c["faults"][index],
-                             c["inputs"], backend=c["backend"],
-                             max_cycles=c["budget"],
-                             golden_images=c["golden"],
-                             fsm_mode=c["fsm_mode"])
+        inject, faults = _ACTIVE_CAMPAIGN
+        return inject(faults[index])
     except BaseException as exc:  # noqa: BLE001 - worker boundary
         fault = None
         try:
-            fault = _ACTIVE_CAMPAIGN["faults"][index]
+            fault = _ACTIVE_CAMPAIGN[1][index]
         except Exception:  # noqa: BLE001 - campaign state may be unusable
             pass
         return InjectionResult(fault, "crash", 0, 0.0,
@@ -342,21 +328,20 @@ def run_campaign(design: Design, func: Callable,
 
     The fault-free baseline runs first: it must classify as ``masked``
     (anything else means the campaign's verdicts would be meaningless)
-    and its cycle count sets the hang budget
-    (``cycles × hang_factor``).  ``jobs`` > 1 fans injections over a
-    fork pool; ``backend="batched"`` additionally groups the
-    ``mem_flip`` faults into lockstep lanes.  ``time_budget`` (seconds,
-    measured from campaign start) stops scheduling new injections once
-    exceeded — already-running ones still land, so the nightly job
-    degrades to a shorter classified prefix instead of dying mid-pool.
+    and its cycle count sets the hang budget (``cycles × hang_factor``,
+    at least 1000, at most ``max_cycles``).  ``jobs`` > 1 fans
+    injections over a fork pool; ``backend="batched"`` additionally
+    groups the ``mem_flip`` faults into lockstep lanes.
+    ``time_budget`` (seconds, measured from campaign start) stops
+    scheduling new injections once exceeded — already-running ones
+    still land, so the nightly job degrades to a shorter classified
+    prefix instead of dying mid-pool.
     ``ledger`` appends one ``inject`` run row plus one ``fault_runs``
     row per verdict (schema v4) in the parent process only.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if design.multi_configuration:
-        raise ValueError("fault injection supports single-configuration "
-                         "designs")
+    single_configuration(design)
     name = app or design.name
     report = CampaignReport(app=name, backend=backend, jobs=jobs, seed=seed,
                             planned=len(faults))
@@ -364,14 +349,8 @@ def run_campaign(design: Design, func: Callable,
     deadline = (None if time_budget is None
                 else wall_started + float(time_budget))
 
-    base_images = prepare_images(design, inputs)
-    array_specs = {spec_name: spec
-                   for spec_name, spec in design.arrays.items()
-                   if spec_name != SPILL_MEMORY}
-    golden_images = {image_name: image.copy()
-                     for image_name, image in base_images.items()
-                     if image_name != SPILL_MEMORY}
-    run_golden(func, array_specs, golden_images, design.params)
+    golden_images = golden_result(design, func,
+                                  prepare_images(design, inputs))
 
     baseline = run_injection(design, func, None, inputs, backend=backend,
                              max_cycles=max_cycles,
@@ -383,9 +362,12 @@ def run_campaign(design: Design, func: Callable,
             f"fault-free baseline classifies as {baseline.verdict!r}, "
             f"not 'masked' — campaign verdicts would be meaningless "
             f"({baseline.note})")
-    budget = max(baseline.cycles * hang_factor, 1000)
+    budget = min(max(baseline.cycles * hang_factor, 1000), max_cycles)
     report.cycle_budget = budget
 
+    inject = functools.partial(run_injection, design, func, inputs=inputs,
+                               backend=backend, max_cycles=budget,
+                               golden_images=golden_images, fsm_mode=fsm_mode)
     faults = list(faults)
     slots: List[Optional[InjectionResult]] = [None] * len(faults)
     pending = list(range(len(faults)))
@@ -397,8 +379,8 @@ def run_campaign(design: Design, func: Callable,
         if len(flips) > 1:
             lane_results = _run_mem_flip_batch(
                 design, [faults[index] for index in flips], inputs,
-                golden_images, max_cycles=budget, fsm_mode=fsm_mode,
-                mismatch_limit=8)
+                golden_images, inject, max_cycles=budget,
+                fsm_mode=fsm_mode)
             for index, result in zip(flips, lane_results):
                 slots[index] = result
             pending = [index for index in pending if slots[index] is None]
@@ -412,61 +394,35 @@ def run_campaign(design: Design, func: Callable,
     with campaign_span:
         if parallel:
             global _ACTIVE_CAMPAIGN
-            _ACTIVE_CAMPAIGN = {
-                "design": design, "func": func, "faults": faults,
-                "inputs": inputs, "backend": backend, "budget": budget,
-                "golden": golden_images, "fsm_mode": fsm_mode,
-            }
-            futures: Dict = {}
+            _ACTIVE_CAMPAIGN = (inject, faults)
+            context = multiprocessing.get_context("fork")
+            timeout = (None if deadline is None
+                       else max(deadline - time.perf_counter(), 0.0))
             try:
-                context = multiprocessing.get_context("fork")
-                workers = min(jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=workers,
+                with ProcessPoolExecutor(max_workers=min(jobs, len(pending)),
                                          mp_context=context) as pool:
+                    futures = {pool.submit(_pool_inject, index): index
+                               for index in pending}
                     try:
-                        if deadline is None:
-                            for index, result in zip(
-                                    pending,
-                                    pool.map(
-                                        _pool_inject, pending,
-                                        chunksize=max(
-                                            1,
-                                            len(pending)
-                                            // (workers * 8)))):
-                                slots[index] = result
-                        else:
-                            # per-task futures so the deadline can drop
-                            # whatever has not started yet
-                            futures = {pool.submit(_pool_inject, index):
-                                       index for index in pending}
-                            try:
-                                for future in as_completed(
-                                        futures,
-                                        timeout=max(
-                                            deadline
-                                            - time.perf_counter(), 0.0)):
-                                    slots[futures[future]] = \
-                                        future.result()
-                            except FuturesTimeout:
-                                for future in futures:
-                                    future.cancel()
-                        # leaving the with-block joins the pool, so
-                        # tasks that were already in flight when the
-                        # deadline hit finish now; harvest them below
-                    except BrokenProcessPool as exc:
-                        unfinished = [faults[index].fault_id
-                                      for index in pending
-                                      if slots[index] is None]
-                        raise RuntimeError(
-                            f"campaign worker process died while running "
-                            f"fault(s) {unfinished[:8]}; rerun with "
-                            f"jobs=1 to reproduce in-process") from exc
-                # the pool has joined: injections that were in flight
-                # when a deadline fired have finished — keep them
+                        for future in as_completed(futures,
+                                                   timeout=timeout):
+                            slots[futures[future]] = future.result()
+                    except FuturesTimeout:
+                        # drop what has not started; leaving the block
+                        # joins the pool, so in-flight injections land
+                        for future in futures:
+                            future.cancel()
                 for future, index in futures.items():
-                    if future.done() and not future.cancelled() \
-                            and slots[index] is None:
+                    if slots[index] is None and future.done() \
+                            and not future.cancelled():
                         slots[index] = future.result()
+            except BrokenProcessPool as exc:
+                unfinished = [faults[index].fault_id for index in pending
+                              if slots[index] is None]
+                raise RuntimeError(
+                    f"campaign worker process died while running "
+                    f"fault(s) {unfinished[:8]}; rerun with jobs=1 to "
+                    f"reproduce in-process") from exc
             finally:
                 _ACTIVE_CAMPAIGN = None
         else:
@@ -474,22 +430,14 @@ def run_campaign(design: Design, func: Callable,
                 if deadline is not None \
                         and time.perf_counter() > deadline:
                     break
-                slots[index] = run_injection(
-                    design, func, faults[index], inputs, backend=backend,
-                    max_cycles=budget, golden_images=golden_images,
-                    fsm_mode=fsm_mode)
+                slots[index] = inject(faults[index])
 
     report.results = [result for result in slots if result is not None]
     report.wall_seconds = time.perf_counter() - wall_started
     campaign_span.set("verdicts", report.tally())
 
     if ledger is not None:
-        from ..obs.ledger import Ledger
-        owns = not isinstance(ledger, Ledger)
-        sink = Ledger(ledger) if owns else ledger
-        try:
+        from ..obs.ledger import ledger_sink
+        with ledger_sink(ledger) as sink:
             sink.record_injection_campaign(report, size=design.params)
-        finally:
-            if owns:
-                sink.close()
     return report

@@ -9,7 +9,7 @@ Descriptors serialise to JSON (:func:`save_faultload` /
 :func:`load_faultload`) so a hang reproducer from CI can be replayed
 locally with ``repro inject --replay``.
 
-Three fault kinds:
+Four fault kinds:
 
 ``stuck``
     A named signal's bit is stuck at 0 or 1 for the whole run
@@ -21,6 +21,11 @@ Three fault kinds:
 ``mem_flip``
     One bit of one memory word is flipped before the run starts (an
     SEU striking a BRAM cell between configuration and execution).
+``mutation``
+    A compiler bug: one :class:`repro.core.faults.Fault` applied to an
+    XML round-tripped copy of the design before elaboration.
+    ``target`` is the mutated component or state; ``detail`` is the
+    mutation kind, then ``": "`` and its detail.  Drawn only on request.
 """
 
 from __future__ import annotations
@@ -33,11 +38,19 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import Design
+from ..core.faults import (MUTATION_KINDS, Fault, enumerate_faults,
+                           single_configuration)
 
 __all__ = ["FaultDescriptor", "FaultloadGenerator", "save_faultload",
            "load_faultload", "output_adjacent_nets"]
 
-FAULT_KINDS = ("stuck", "reg_flip", "mem_flip")
+DEFAULT_KINDS = ("stuck", "reg_flip", "mem_flip")
+FAULT_KINDS = DEFAULT_KINDS + ("mutation",)
+
+#: JSON type of every descriptor field (``bool`` is never an ``int``)
+_FIELD_TYPES = {"fault_id": str, "kind": str, "target": str, "bit": int,
+                "stuck_value": int, "word": int, "state": (str, type(None)),
+                "cycle_lo": int, "cycle_hi": int, "detail": str}
 
 
 @dataclass(frozen=True)
@@ -45,8 +58,9 @@ class FaultDescriptor:
     """One concrete, replayable fault."""
 
     fault_id: str
-    kind: str  # stuck | reg_flip | mem_flip
-    target: str  # signal (net) name or memory name
+    kind: str  # stuck | reg_flip | mem_flip | mutation
+    #: signal (net) name, memory name, or mutated component/state
+    target: str
     bit: int = 0
     #: stuck-at value (``stuck`` only)
     stuck_value: int = 0
@@ -60,16 +74,43 @@ class FaultDescriptor:
     detail: str = ""
 
     def __post_init__(self) -> None:
+        for name, types in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"descriptor field {name!r} has type "
+                                 f"{type(value).__name__}")
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} "
                              f"(known: {FAULT_KINDS})")
+        if not self.target:
+            raise ValueError("descriptor has an empty target")
+        if self.kind == "mutation" \
+                and self.mutation.kind not in MUTATION_KINDS:
+            raise ValueError(f"unknown mutation kind {self.mutation.kind!r}")
         if self.bit < 0:
             raise ValueError(f"bit must be >= 0, got {self.bit}")
         if self.stuck_value not in (0, 1):
             raise ValueError(f"stuck_value must be 0 or 1, "
                              f"got {self.stuck_value}")
 
+    @classmethod
+    def from_mutation(cls, fault: Fault,
+                      fault_id: str) -> "FaultDescriptor":
+        """The ``mutation`` descriptor carrying seed fault *fault*."""
+        detail = f"{fault.kind}: {fault.detail}" if fault.detail \
+            else fault.kind
+        return cls(fault_id=fault_id, kind="mutation", target=fault.target,
+                   detail=detail)
+
+    @property
+    def mutation(self) -> Fault:
+        """The seed fault a ``mutation`` descriptor carries."""
+        kind, _, detail = self.detail.partition(": ")
+        return Fault(kind, self.target, detail)
+
     def describe(self) -> str:
+        if self.kind == "mutation":
+            return f"{self.fault_id}: mutation {self.mutation.describe()}"
         if self.kind == "stuck":
             return (f"{self.fault_id}: stuck-at-{self.stuck_value} "
                     f"{self.target}[{self.bit}]")
@@ -85,8 +126,11 @@ class FaultDescriptor:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultDescriptor":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        extra = set(data) - known
+        """Validate and build; any malformed input is a ValueError."""
+        if not isinstance(data, dict) \
+                or not {"fault_id", "kind", "target"} <= set(data):
+            raise ValueError(f"not a fault descriptor: {data!r:.80}")
+        extra = set(data) - set(_FIELD_TYPES)
         if extra:
             raise ValueError(f"unknown descriptor field(s) {sorted(extra)}")
         return cls(**data)
@@ -108,16 +152,14 @@ def load_faultload(path: Union[str, Path]) -> List[FaultDescriptor]:
     """Read a faultload written by :func:`save_faultload`.
 
     Also accepts a bare descriptor object or a bare list, so a single
-    hang reproducer pasted from a CI artifact replays directly.
+    hang reproducer pasted from a CI artifact replays directly.  Any
+    malformed document raises :class:`ValueError`.
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(data, dict) and "faults" in data:
-        entries = data["faults"]
-    elif isinstance(data, dict):
-        entries = [data]
-    elif isinstance(data, list):
-        entries = data
-    else:
+    entries = data
+    if isinstance(data, dict):
+        entries = data["faults"] if "faults" in data else [data]
+    if not isinstance(entries, list):
         raise ValueError(f"{path}: not a faultload document")
     return [FaultDescriptor.from_dict(entry) for entry in entries]
 
@@ -125,20 +167,13 @@ def load_faultload(path: Union[str, Path]) -> List[FaultDescriptor]:
 # ----------------------------------------------------------------------
 # Target enumeration
 # ----------------------------------------------------------------------
-def _single_configuration(design: Design):
-    if design.multi_configuration:
-        raise ValueError("fault injection supports single-configuration "
-                         "designs")
-    return design.configurations[0]
-
-
 def output_adjacent_nets(design: Design) -> List[str]:
     """Nets wired into the data port of an output-memory write port.
 
     A stuck-at on one of these corrupts output words directly, so it is
     the canonical SDC-producing target (used by the CI smoke gate).
     """
-    config = _single_configuration(design)
+    config = single_configuration(design)
     datapath = config.datapath
     names: List[str] = []
     for net in datapath.nets.values():
@@ -162,6 +197,7 @@ class _TargetSpace:
     registers: List[tuple] = field(default_factory=list)  # (name, width)
     memories: List[tuple] = field(default_factory=list)  # (name, w, depth)
     states: List[str] = field(default_factory=list)
+    mutations: List[Fault] = field(default_factory=list)
 
 
 class FaultloadGenerator:
@@ -173,7 +209,7 @@ class FaultloadGenerator:
 
     def __init__(self, design: Design, *, seed: int = 0,
                  max_cycle: int = 1000) -> None:
-        config = _single_configuration(design)
+        config = single_configuration(design)
         self.design = design
         self.seed = seed
         self.max_cycle = max(int(max_cycle), 1)
@@ -188,19 +224,26 @@ class FaultloadGenerator:
             if name != SPILL_MEMORY:
                 space.memories.append((name, spec.width, spec.depth))
         space.states = list(config.fsm.states)
+        space.mutations = enumerate_faults(datapath, config.fsm)
         self.space = space
 
     # ------------------------------------------------------------------
     def generate(self, n: int, *,
-                 kinds: Sequence[str] = FAULT_KINDS) -> List[FaultDescriptor]:
+                 kinds: Sequence[str] = DEFAULT_KINDS
+                 ) -> List[FaultDescriptor]:
         """*n* descriptors, deterministic for (design, seed, n, kinds)."""
         for kind in kinds:
             if kind not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {kind!r}")
         draw = {"stuck": self._draw_stuck,
                 "reg_flip": self._draw_reg_flip,
-                "mem_flip": self._draw_mem_flip}
-        usable = [kind for kind in kinds if self._has_targets(kind)]
+                "mem_flip": self._draw_mem_flip,
+                "mutation": self._draw_mutation}
+        space = self.space
+        targets = {"stuck": space.nets, "mem_flip": space.memories,
+                   "reg_flip": space.registers and space.states,
+                   "mutation": space.mutations}
+        usable = [kind for kind in kinds if targets[kind]]
         if not usable:
             raise ValueError(
                 f"design {self.design.name!r} has no targets for any of "
@@ -211,13 +254,6 @@ class FaultloadGenerator:
             kind = usable[index % len(usable)]
             faults.append(draw[kind](rng, f"f{index:05d}"))
         return faults
-
-    def _has_targets(self, kind: str) -> bool:
-        if kind == "stuck":
-            return bool(self.space.nets)
-        if kind == "reg_flip":
-            return bool(self.space.registers) and bool(self.space.states)
-        return bool(self.space.memories)
 
     def _draw_stuck(self, rng: random.Random,
                     fault_id: str) -> FaultDescriptor:
@@ -243,3 +279,8 @@ class FaultloadGenerator:
         return FaultDescriptor(
             fault_id=fault_id, kind="mem_flip", target=name,
             bit=rng.randrange(width), word=rng.randrange(depth))
+
+    def _draw_mutation(self, rng: random.Random,
+                       fault_id: str) -> FaultDescriptor:
+        return FaultDescriptor.from_mutation(
+            rng.choice(self.space.mutations), fault_id)

@@ -19,13 +19,15 @@ Either way the observable semantics are identical for register-output
 targets; :func:`attach_fault` returns a :class:`FaultHandle` whose
 ``mechanism`` records which path was taken.
 
-``mem_flip`` descriptors never reach this module — they mutate memory
-images before the run (see :func:`repro.inject.campaign.apply_mem_flip`).
+``mem_flip`` and ``mutation`` descriptors never reach this module —
+they change the memory images or the design before the run (see
+:func:`repro.inject.campaign.run_injection`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional
 
 from ..sim.compiled import CompiledSimulator
 from ..sim.signal import Signal
@@ -34,6 +36,7 @@ from .faultload import FaultDescriptor
 __all__ = ["KernelFaultSpec", "FaultHandle", "kernel_spec", "attach_fault"]
 
 
+@dataclass(eq=False)
 class KernelFaultSpec:
     """The codegen-facing form of a signal fault (see sim.compiled).
 
@@ -42,24 +45,15 @@ class KernelFaultSpec:
     with the generated code (a fresh list per spec, so replays rearm).
     """
 
-    __slots__ = ("kind", "signal", "state", "and_mask", "or_mask",
-                 "xor_mask", "lo", "hi", "latch")
-
-    def __init__(self, kind: str, signal: str, *, state: Optional[str] = None,
-                 and_mask: int = -1, or_mask: int = 0, xor_mask: int = 0,
-                 lo: int = 0, hi: int = 0) -> None:
-        self.kind = kind
-        self.signal = signal
-        self.state = state
-        self.and_mask = and_mask
-        self.or_mask = or_mask
-        self.xor_mask = xor_mask
-        self.lo = lo
-        self.hi = hi
-        self.latch = [0]
-
-    def __repr__(self) -> str:
-        return f"KernelFaultSpec({self.kind!r}, {self.signal!r})"
+    kind: str
+    signal: str
+    state: Optional[str] = None
+    and_mask: int = -1
+    or_mask: int = 0
+    xor_mask: int = 0
+    lo: int = 0
+    hi: int = 0
+    latch: List[int] = field(default_factory=lambda: [0])
 
 
 def kernel_spec(fault: FaultDescriptor, signal: Signal) -> KernelFaultSpec:
@@ -78,31 +72,30 @@ def kernel_spec(fault: FaultDescriptor, signal: Signal) -> KernelFaultSpec:
     raise ValueError(f"{fault.kind!r} faults are not signal faults")
 
 
+@dataclass(eq=False)
 class FaultHandle:
     """An attached fault; ``detach()`` restores the clean simulator."""
 
-    def __init__(self, sim, *, mechanism: str,
-                 watcher=None, hook=None, spec=None) -> None:
-        self.sim = sim
-        self.mechanism = mechanism  # "kernel" | "watcher" | "cycle-hook"
-        self._watcher = watcher  # (signal, callback)
-        self._hook = hook
-        self._spec = spec
+    sim: object
+    mechanism: str  # "kernel" | "watcher" | "cycle-hook"
+    watcher: Optional[tuple] = None  # (signal, callback)
+    hook: Optional[Callable] = None
+    spec: Optional[KernelFaultSpec] = None
 
     def detach(self) -> None:
-        if self._spec is not None:
+        if self.spec is not None:
             self.sim.set_fault_spec(None)
-            self._spec = None
-        if self._watcher is not None:
-            signal, callback = self._watcher
+            self.spec = None
+        if self.watcher is not None:
+            signal, callback = self.watcher
             signal.unwatch(callback)
-            self._watcher = None
-        if self._hook is not None:
+            self.watcher = None
+        if self.hook is not None:
             try:
-                self.sim._cycle_hooks.remove(self._hook)
+                self.sim._cycle_hooks.remove(self.hook)
             except ValueError:
                 pass
-            self._hook = None
+            self.hook = None
 
     def __enter__(self) -> "FaultHandle":
         return self
@@ -119,9 +112,9 @@ def attach_fault(design, fault: FaultDescriptor) -> FaultHandle:
     compiled subset.  Raises :class:`ValueError` for descriptors that
     cannot apply to this design (unknown signal, bit out of range).
     """
-    if fault.kind == "mem_flip":
-        raise ValueError("mem_flip faults mutate memory images before "
-                         "the run; use campaign.apply_mem_flip")
+    if fault.kind in ("mem_flip", "mutation"):
+        raise ValueError(f"{fault.kind} faults take effect before the "
+                         f"run (see campaign.run_injection)")
     sim = design.sim
     signal = sim._signals.get(fault.target)
     if signal is None:

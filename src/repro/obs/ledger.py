@@ -31,6 +31,7 @@ Prometheus textfile exporter), all reachable as ``python -m repro obs``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -46,7 +47,7 @@ from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
 
 __all__ = ["SCHEMA_VERSION", "LedgerError", "Ledger", "RunRow", "CaseRow",
            "CoverageRow", "CacheRow", "FuzzRow", "FaultRow",
-           "ledger_from_env", "LEDGER_ENV"]
+           "ledger_from_env", "ledger_sink", "LEDGER_ENV"]
 
 #: current on-disk schema generation (see ``_MIGRATIONS`` for history)
 SCHEMA_VERSION = 4
@@ -1093,6 +1094,17 @@ class Ledger:
             except sqlite3.DatabaseError:
                 pass
         return len(stale)
+
+
+@contextlib.contextmanager
+def ledger_sink(ledger: Union[Ledger, str, Path]):
+    """*ledger* as an open :class:`Ledger`: an open one as it is, a
+    path opened for the block and closed after it."""
+    if isinstance(ledger, Ledger):
+        yield ledger
+    else:
+        with Ledger(ledger) as sink:
+            yield sink
 
 
 def ledger_from_env(explicit: Optional[Union[str, Path]] = None,

@@ -582,14 +582,20 @@ def triage_fault(design, func, fault, inputs=None, *,
                  fsm_mode: str = "generated",
                  app: Optional[str] = None,
                  kind: str = "fault") -> TriageResult:
-    """Triage one fault descriptor: fault-free vs faulted lockstep."""
+    """Triage one fault descriptor: fault-free vs faulted lockstep (a
+    ``mutation`` runs its mutated copy, which keeps every net name)."""
     from ..core.verification import prepare_images
     config = _single_config(design)
     compare = _output_arrays(design)
     name = app or design.name
+    faulted = config
+    if fault.kind == "mutation":
+        from ..core.faults import inject_fault
+        faulted = inject_fault(design, fault.mutation).configurations[0]
 
     def side(with_fault):
-        return _Side(config.datapath, config.fsm, design.rtg,
+        chosen = faulted if with_fault else config
+        return _Side(chosen.datapath, chosen.fsm, design.rtg,
                      prepare_images(design, inputs), backend=backend,
                      fault=fault if with_fault else None,
                      fsm_mode=fsm_mode, compare_memories=compare)

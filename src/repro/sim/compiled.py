@@ -57,7 +57,7 @@ class _Unsupported(Exception):
 
 #: bump whenever generated-code semantics change; part of the
 #: persistent kernel-cache key so stale kernels can never be loaded
-_CODEGEN_VERSION = 2
+_CODEGEN_VERSION = 3
 
 
 # ----------------------------------------------------------------------
@@ -898,8 +898,12 @@ def _build_program(sim: Simulator) -> CompiledProgram:
             % (", pw" if profiled else ""))
     for index, sig in enumerate(tracked):
         emit(2, f"v{index} = _S[{index}].value")
+    state_ids = list(range(n_states))
     if stuck_line is not None:
+        # the pre-run settle saw the unforced value (a constant's net
+        # never changes again): force it, re-settle the start state
         emit(2, stuck_line)
+        emit_tree(2, state_ids, settle_blocks)
     emit(2, "n = 0")
     emit(2, "_nt = 0")
     if fusion is not None:
@@ -918,7 +922,6 @@ def _build_program(sim: Simulator) -> CompiledProgram:
         # the edge tree rewrites ``s``; remember whose cycle this was
         emit(4, "_ps = s")
         emit(4, "_pt = _pc()")
-    state_ids = list(range(n_states))
     emit_tree(4, state_ids, edge_blocks)
     emit_tree(4, state_ids, settle_blocks)
     if profiled:

@@ -156,6 +156,29 @@ class TestFaultsCommand:
         assert "multiple configurations" in capsys.readouterr().err
 
 
+class TestCampaignCommand:
+    def test_mutation_campaign_saves_and_triages(self, tmp_path, capsys):
+        from repro.inject import load_faultload
+
+        faultload = tmp_path / "mutants.json"
+        status = main(["campaign", "threshold", "-n", "8", "--seed", "1",
+                       "--kinds", "mutation", "--jobs", "2",
+                       "--backend", "event",
+                       "--save-faultload", str(faultload),
+                       "--triage-out", str(tmp_path / "triage")])
+        assert status == 0
+        out = capsys.readouterr().out
+        assert "  mutation " in out
+        assert "triage:" in out and "failed" not in out
+        faults = load_faultload(faultload)
+        assert len(faults) == 8
+        assert {fault.kind for fault in faults} == {"mutation"}
+
+    def test_unknown_kind_is_an_error(self, capsys):
+        assert main(["campaign", "threshold", "--kinds", "mutant"]) == 2
+        assert "mutation" in capsys.readouterr().err
+
+
 class TestFuzzCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fuzz"])

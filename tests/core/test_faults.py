@@ -1,13 +1,17 @@
 """Tests for fault injection (qualifying the infrastructure itself)."""
 
+import os
+
 import pytest
 
 from repro.apps import (build_hamming, build_threshold, hamming_decode_kernel,
-                        hamming_inputs, threshold_inputs, threshold_kernel)
+                        hamming_inputs, suite_case, threshold_inputs,
+                        threshold_kernel)
 from repro.compiler import MemorySpec, compile_function
 from repro.core import verify_design
 from repro.core.faults import (CampaignResult, Fault, enumerate_faults,
                                inject_fault, run_campaign)
+from repro.sim.errors import SimulationError
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +130,52 @@ class TestCampaign:
                               hamming_inputs(32), limit_per_kind=3,
                               max_cycles=200_000)
         assert result.kill_rate >= 0.6
+
+
+#: fdct1 has 388 seed mutants, ~40 s for both loops below; tier-1 takes
+#: the first two of each kind and the CI fault-smoke job sets
+#: REPRO_MUTANTS_FULL=1 to compare all of them
+_FDCT1_LIMIT = None if os.environ.get("REPRO_MUTANTS_FULL") == "1" else 2
+
+#: above every hang budget below (4 x baseline cycles, at least 1000),
+#: so a mutant finishing between budget and cap would show as a diff
+_EQUIVALENCE_CAP = 1500
+
+
+def _reference_verdicts(design, func, inputs, faults):
+    """The seed runner's semantics: verify each mutated copy, count
+    simulation and mutation errors as crashes."""
+    verdicts = []
+    for fault in faults:
+        try:
+            outcome = verify_design(inject_fault(design, fault), func,
+                                    inputs, max_cycles=_EQUIVALENCE_CAP)
+        except (SimulationError, ValueError, KeyError):
+            verdicts.append("crashed")
+            continue
+        verdicts.append("survived" if outcome.passed else "detected")
+    return verdicts
+
+
+class TestVerdictEquivalence:
+    """The adapter over repro.inject maps sdc/masked/hang/crash onto the
+    seed runner's detected/survived/crashed, mutant for mutant."""
+
+    @pytest.mark.parametrize("app, sizes, limit", [
+        ("fdct1", {"pixels": 64}, _FDCT1_LIMIT),
+        ("hamming", {"n_words": 8}, None),
+        ("threshold", {"n_pixels": 16}, None),
+    ], ids=["fdct1", "hamming", "threshold"])
+    def test_adapter_matches_the_seed_semantics(self, app, sizes, limit):
+        case = suite_case(app, **sizes)
+        design = case.compile()
+        inputs = case.inputs(0)
+        config = design.configurations[0]
+        faults = enumerate_faults(config.datapath, config.fsm,
+                                  limit_per_kind=limit)
+        result = run_campaign(design, case.func, inputs, faults=faults,
+                              max_cycles=_EQUIVALENCE_CAP)
+        assert [verdict.fault for verdict in result.verdicts] == faults
+        got = [verdict.verdict for verdict in result.verdicts]
+        assert got == _reference_verdicts(design, case.func, inputs, faults)
+        assert {"detected", "survived", "crashed"} <= set(got)

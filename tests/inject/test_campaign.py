@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import verify_design
+from repro.core.faults import Fault
 from repro.inject import (FaultDescriptor, FaultloadGenerator, run_campaign,
                           run_injection)
 from repro.inject import campaign as campaign_mod
@@ -235,3 +236,61 @@ class TestLedgerRecording:
                 row = by_id[result.fault.fault_id]
                 assert row.verdict == result.verdict
                 assert row.descriptor == result.fault.to_dict()
+
+
+class TestMutation:
+    """Seed mutants as one more faultload kind on the same engine."""
+
+    def test_mutant_is_classified_and_marked(self, threshold):
+        case, design, inputs = threshold
+        fault = FaultDescriptor.from_mutation(
+            Fault("cmp_op", "u0_lt", "lt -> le"), "m0")
+        result = run_injection(design, case.func, fault, inputs,
+                               backend="event", max_cycles=4000)
+        assert result.mechanism == "mutation"
+        # the loop-bound bug writes one word past the output memory
+        assert result.verdict == "crash"
+        assert "exceeds depth" in result.note
+        # the original design is left untouched
+        assert design.configurations[0].datapath \
+            .components["u0_lt"].type == "lt"
+
+    def test_unappliable_mutant_is_a_crash(self, threshold):
+        case, design, inputs = threshold
+        fault = FaultDescriptor.from_mutation(
+            Fault("cmp_op", "no_such_component"), "m0")
+        result = run_injection(design, case.func, fault, inputs,
+                               backend="event")
+        assert result.verdict == "crash"
+        assert "KeyError" in result.note
+
+    def test_mutants_hang_within_the_baseline_budget(self, threshold):
+        case, design, inputs = threshold
+        faults = FaultloadGenerator(design, seed=1) \
+            .generate(16, kinds=("mutation",))
+        report = run_campaign(design, case.func, faults, inputs,
+                              backend="event", max_cycles=1_000_000)
+        assert report.cycle_budget \
+            == max(report.baseline.cycles * 4, 1000)
+        hangs = [r for r in report.results if r.verdict == "hang"]
+        assert hangs and all(r.cycles == report.cycle_budget for r in hangs)
+
+    def test_max_cycles_caps_the_budget(self, threshold):
+        case, design, inputs = threshold
+        report = run_campaign(design, case.func, [], inputs,
+                              backend="event", max_cycles=600)
+        assert report.baseline.cycles < 600
+        assert report.cycle_budget == 600
+
+    @fork_only
+    def test_pooled_mutants_match_serial(self, threshold):
+        case, design, inputs = threshold
+        faults = FaultloadGenerator(design, seed=3) \
+            .generate(10, kinds=("mutation", "stuck"))
+        serial = run_campaign(design, case.func, faults, inputs,
+                              backend="compiled", jobs=1)
+        pooled = run_campaign(design, case.func, faults, inputs,
+                              backend="compiled", jobs=2)
+        assert [(r.verdict, r.cycles) for r in serial.results] \
+            == [(r.verdict, r.cycles) for r in pooled.results]
+        assert "mutation" in serial.coverage_table()

@@ -1,8 +1,12 @@
 """Tests for seeded faultload generation and JSON replay."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import suite_case
+from repro.core.faults import MUTATION_KINDS, Fault
 from repro.inject import (FaultDescriptor, FaultloadGenerator,
                           load_faultload, output_adjacent_nets,
                           save_faultload)
@@ -125,3 +129,89 @@ class TestOutputAdjacent:
             assert nets, f"{name} exposes no output-adjacent nets"
             datapath = compiled.configurations[0].datapath
             assert all(net in datapath.nets for net in nets)
+
+
+class TestMutation:
+    def test_generator_draws_seed_mutants(self, design):
+        config = design.configurations[0]
+        faults = FaultloadGenerator(design, seed=2) \
+            .generate(12, kinds=("mutation",))
+        assert {fault.kind for fault in faults} == {"mutation"}
+        for fault in faults:
+            assert fault.mutation.kind in MUTATION_KINDS
+            assert fault.target in config.datapath.components \
+                or fault.target in config.fsm.states
+
+    def test_default_kinds_leave_mutations_out(self, design):
+        faults = FaultloadGenerator(design, seed=2).generate(30)
+        assert "mutation" not in {fault.kind for fault in faults}
+
+    def test_describe_names_the_seed_fault(self):
+        fault = FaultDescriptor.from_mutation(
+            Fault("cmp_op", "u0_lt", "lt -> le"), "f3")
+        assert fault.describe() == "f3: mutation cmp_op @ u0_lt (lt -> le)"
+
+    def test_rejects_an_unknown_mutation_kind(self):
+        with pytest.raises(ValueError, match="unknown mutation kind"):
+            FaultDescriptor(fault_id="x", kind="mutation", target="k1",
+                            detail="cosmic_ray: boom")
+
+
+_mutations = st.builds(Fault, st.sampled_from(MUTATION_KINDS),
+                       st.text(min_size=1), st.text())
+
+#: one valid descriptor per kind, as the JSON reader sees it
+_VALID = {"fault_id": "f0", "kind": "mutation", "target": "k1",
+          "detail": "const_value: value 5 ^ 1"}
+
+
+def _load(tmp_path, document):
+    path = tmp_path / "load.json"
+    path.write_text(json.dumps(document))
+    return load_faultload(path)
+
+
+class TestReaderProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(fault=_mutations, fault_id=st.text())
+    def test_mutation_round_trips(self, tmp_path_factory, fault, fault_id):
+        descriptor = FaultDescriptor.from_mutation(fault, fault_id)
+        path = tmp_path_factory.mktemp("load") / "load.json"
+        save_faultload([descriptor], path)
+        [loaded] = load_faultload(path)
+        assert loaded == descriptor
+        assert loaded.mutation == fault
+
+    @settings(max_examples=80, deadline=None)
+    @given(field=st.sampled_from(sorted(FaultDescriptor.__dataclass_fields__)),
+           value=st.one_of(st.none(), st.booleans(), st.integers(),
+                           st.floats(allow_nan=False), st.text(),
+                           st.lists(st.integers(), max_size=2),
+                           st.dictionaries(st.text(), st.integers(),
+                                           max_size=2)))
+    def test_malformed_fields_raise_value_error(self, tmp_path_factory,
+                                                field, value):
+        # whatever a field holds, the reader accepts it or raises
+        # ValueError — never TypeError, KeyError or AttributeError
+        document = dict(_VALID, **{field: value})
+        try:
+            _load(tmp_path_factory.mktemp("load"), document)
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize("document", [
+        dict(_VALID, detail="cosmic_ray: boom"),  # unknown mutation kind
+        {key: value for key, value in _VALID.items() if key != "target"},
+        dict(_VALID, target=""),
+        dict(_VALID, bit="3"),  # wrong field type
+        dict(_VALID, cycle_lo=True),
+        {"faults": [_VALID, 7]},
+        {"faults": {"fault_id": "f0"}},
+        [[_VALID]],
+    ], ids=["unknown-mutation", "missing-target", "empty-target",
+            "str-bit", "bool-cycle", "non-object-entry", "faults-not-list",
+            "nested-list"])
+    def test_malformed_documents_raise_value_error(self, tmp_path,
+                                                   document):
+        with pytest.raises(ValueError):
+            _load(tmp_path, document)

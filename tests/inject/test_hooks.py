@@ -141,3 +141,31 @@ class TestEquivalence:
             assert compiled.verdict == event.verdict, fault.describe()
             if compiled.verdict in ("masked", "sdc"):
                 assert compiled.cycles == event.cycles, fault.describe()
+
+
+class TestConstantNetStuckAt:
+    """A stuck-at-1 on a constant operator's output net: the pre-run
+    settle computes its fanout from the unforced constant, so the
+    compiled kernels must force it and re-settle before the first edge
+    (these four once came out masked or late on compiled and traced)."""
+
+    @pytest.mark.parametrize("app, net, bits", [
+        ("hamming", "n_k7_y", (11,)),
+        ("threshold", "n_k3_y", (7, 30, 14)),
+    ])
+    def test_every_kernel_agrees(self, app, net, bits):
+        case = suite_case(app)
+        design = case.compile()
+        inputs = case.inputs(0)
+        for bit in bits:
+            fault = FaultDescriptor(fault_id=f"{net}[{bit}]", kind="stuck",
+                                    target=net, bit=bit, stuck_value=1)
+            outcomes = {
+                backend: run_injection(design, case.func, fault, inputs,
+                                       backend=backend, max_cycles=20_000)
+                for backend in ("event", "compiled", "traced")}
+            assert outcomes["compiled"].mechanism == "kernel"
+            seen = {backend: (result.verdict, result.cycles)
+                    for backend, result in outcomes.items()}
+            assert len(set(seen.values())) == 1, (fault.describe(), seen)
+            assert seen["event"][0] == "sdc"
