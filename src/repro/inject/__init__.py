@@ -14,9 +14,10 @@ The three layers:
   descriptors enumerated from a compiled design, serialisable to JSON
   for replay;
 * :mod:`~repro.inject.hooks` — how a descriptor takes effect in a
-  simulator: compiled/traced kernels regenerate with forcing/flip
-  lines (mirroring coverage instrumentation), the event kernel uses
-  signal watchers and post-settle cycle hooks;
+  simulator: compiled/traced kernels regenerate with force/flip
+  entries in their IR (mirroring coverage instrumentation; the traced
+  kernel keeps fusion), the event kernel uses signal watchers and
+  post-settle cycle hooks;
 * :mod:`~repro.inject.campaign` — fans a faultload across the fork
   pool, tallies verdicts, and records per-fault rows into the run
   ledger (schema v4) and the dashboard.

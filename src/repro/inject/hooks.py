@@ -5,9 +5,12 @@ Two mechanisms, chosen per design at attach time:
 * **Kernel spec** — on a :class:`~repro.sim.compiled.CompiledSimulator`
   (and its traced subclass) the fault is *compiled into* the generated
   kernel, exactly like coverage instrumentation: a
-  :class:`KernelFaultSpec` on the simulator makes codegen emit forcing
-  lines (stuck-at) or a windowed one-shot XOR (transient flip).  The
-  fast path keeps running at full speed.
+  :class:`KernelFaultSpec` on the simulator adds entries to the kernel
+  IR — a force after every write of the target net (stuck-at) or a
+  windowed one-shot XOR on the pinned state's edge (transient flip).
+  The fast path keeps running at full speed, and the traced kernel
+  keeps its fused traces (all but one containing a flip's pinned
+  state, whose cycle window needs the per-state path).
 * **Event hooks** — on the plain event kernel (or when the compiled
   subset rejects the target, e.g. a Moore control line) the stuck-at
   becomes a signal watcher that re-forces the value before the fanout

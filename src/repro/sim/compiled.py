@@ -15,7 +15,10 @@ to the paper's language-level setting:
   that the state's enabled sinks and the status lines actually read;
 * signal values live in Python **locals** inside the generated loop
   (the cheapest storage CPython offers), synced with the
-  :class:`~repro.sim.signal.Signal` objects at entry and exit.
+  :class:`~repro.sim.signal.Signal` objects at entry and exit;
+* each state is lowered **once**, to :class:`_StateIR`, and one
+  renderer (:func:`_render_segments`) emits both the plain per-state
+  tree and the fused traces of :mod:`repro.sim.trace` from it.
 
 The backend is *conservative*: any construct outside the supported
 subset — a foreign signal watcher (probe, VCD), a start/done handshake,
@@ -57,7 +60,7 @@ class _Unsupported(Exception):
 
 #: bump whenever generated-code semantics change; part of the
 #: persistent kernel-cache key so stale kernels can never be loaded
-_CODEGEN_VERSION = 3
+_CODEGEN_VERSION = 4
 
 
 # ----------------------------------------------------------------------
@@ -105,12 +108,86 @@ def _classify_transition(fn: Callable) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
+# Kernel statements
+# ----------------------------------------------------------------------
+# Codegen lowers each FSM state once, to :class:`_StateIR`, and renders
+# every kernel shape from it.  A statement is an ``(out, code, ins)``
+# triple: ``ins`` holds the tokens it reads — signal locals (``v<N>``) or
+# literals — and ``code`` is a :meth:`str.format` template over them.  A
+# ``str`` code renders as the line ``out = code`` (bare ``code`` when
+# ``out`` is None); a tuple of ``(indent, template)`` lines renders as a
+# block, whose write of ``out`` passes treat as conditional.  Every
+# other name in a template is a kernel temp (``_q*``, ``_g*``, ``_e``,
+# ``s`` ...) or a ctx binding, so a pass rewrites what a statement reads
+# by substituting ``ins``, never by parsing text.
+
+def _is_local(token: str) -> bool:
+    """Signal locals are ``v<index>``; every kernel temp starts with
+    ``_`` (or is ``s``/``n``), and literals with a digit or ``-``."""
+    return token[0] == "v"
+
+
+def _copy_source(stmt) -> Optional[str]:
+    """The token a pure copy ``out = token`` of a signal local or a
+    non-negative literal reads, or ``None`` for any other statement."""
+    if stmt[1] != "{0}":
+        return None
+    token = stmt[2][0]
+    return token if _is_local(token) or token.isdigit() else None
+
+
+def _subst(stmt, mapping: Dict[str, str]):
+    """*stmt* reading ``mapping[token]`` wherever it read ``token``."""
+    out, code, ins = stmt
+    return out, code, tuple([mapping.get(token, token) for token in ins])
+
+
+def _render(stmts, base: int) -> List[Tuple[int, str]]:
+    """Statements as ``(indent, text)`` lines at indent *base*."""
+    lines: List[Tuple[int, str]] = []
+    for out, code, ins in stmts:
+        if code.__class__ is str:
+            text = code.format(*ins)
+            lines.append((base, text if out is None else f"{out} = {text}"))
+        else:
+            lines.extend((base + rel, text.format(*ins)) for rel, text in code)
+    return lines
+
+
+def _lit(text: str) -> str:
+    """*text* as literal template text (braces escaped)."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+class _Operands:
+    """An emitter's view of its operator's inputs.
+
+    ``r(sig)`` records the token *sig* reads as (a local name, or a
+    control line's value in this state) and returns its template field;
+    ``r.const(sig)`` is the control value, or ``None`` for a signal.
+    """
+
+    __slots__ = ("token", "const", "ins")
+
+    def __init__(self, token: Callable, const: Callable) -> None:
+        self.token = token
+        self.const = const
+        self.ins: List[str] = []
+
+    def __call__(self, sig: Signal) -> str:
+        token = self.token(sig)
+        if token not in self.ins:
+            self.ins.append(token)
+        return "{%d}" % self.ins.index(token)
+
+
+# ----------------------------------------------------------------------
 # Expression emitters (one per exact operator type)
 # ----------------------------------------------------------------------
-# Each emitter returns a list of (relative_indent, line) statements that
-# recompute the operator's output local from its input expressions.
-# ``val(sig)`` renders a signal as either its local name or, for FSM
-# control lines, the state's constant value as a literal.
+# Each emitter returns the template of its output's new value over the
+# fields ``r(sig)`` hands out, or — for ops that need a statement, not
+# an expression — a guarded form ``(cond, then, else, else_stmt)``;
+# :func:`_lower_op` pairs it with the output token and the input tokens.
 
 def _signed(expr: str, width: int) -> str:
     half = 1 << (width - 1)
@@ -118,30 +195,30 @@ def _signed(expr: str, width: int) -> str:
     return f"(({expr}) - {full} if ({expr}) & {half} else ({expr}))"
 
 
-def _e_add(op, val, gen):
-    return [(0, f"{val(op.y)} = ({val(op.a)} + {val(op.b)}) & {op.y.mask}")]
+def _e_add(op, r, gen):
+    return f"({r(op.a)} + {r(op.b)}) & {op.y.mask}"
 
 
-def _e_sub(op, val, gen):
-    return [(0, f"{val(op.y)} = ({val(op.a)} - {val(op.b)}) & {op.y.mask}")]
+def _e_sub(op, r, gen):
+    return f"({r(op.a)} - {r(op.b)}) & {op.y.mask}"
 
 
-def _e_mul(op, val, gen):
-    return [(0, f"{val(op.y)} = ({val(op.a)} * {val(op.b)}) & {op.y.mask}")]
+def _e_mul(op, r, gen):
+    return f"({r(op.a)} * {r(op.b)}) & {op.y.mask}"
 
 
-def _e_mulfull(op, val, gen):
-    a = _signed(val(op.a), op.width)
-    b = _signed(val(op.b), op.width)
-    return [(0, f"{val(op.y)} = ({a} * {b}) & {op.y.mask}")]
+def _e_mulfull(op, r, gen):
+    a = _signed(r(op.a), op.width)
+    b = _signed(r(op.b), op.width)
+    return f"({a} * {b}) & {op.y.mask}"
 
 
-def _e_div(op, val, gen):
+def _e_div(op, r, gen):
     # the div/rem family keeps its exact semantics (truncate/floor,
     # strict or counted zero divisors) by calling a bound helper that
     # wraps the component's own compute()
     helper = gen.helper(_make_div_helper(op), op.name)
-    return [(0, f"{val(op.y)} = {helper}({val(op.a)}, {val(op.b)})")]
+    return f"{helper}({r(op.a)}, {r(op.b)})"
 
 
 def _make_div_helper(op):
@@ -154,136 +231,123 @@ def _make_div_helper(op):
     return div_helper
 
 
-def _e_neg(op, val, gen):
-    return [(0, f"{val(op.y)} = (-{val(op.a)}) & {op.y.mask}")]
+def _e_neg(op, r, gen):
+    return f"(-{r(op.a)}) & {op.y.mask}"
 
 
-def _e_abs(op, val, gen):
+def _e_abs(op, r, gen):
     half = 1 << (op.width - 1)
     full = 1 << op.width
-    return [(0, f"{val(op.y)} = ({full} - {val(op.a)}) & {op.y.mask} "
-                f"if {val(op.a)} & {half} else {val(op.a)}")]
+    return (f"({full} - {r(op.a)}) & {op.y.mask} "
+            f"if {r(op.a)} & {half} else {r(op.a)}")
 
 
-def _e_min(op, val, gen):
+def _e_min(op, r, gen):
     half = 1 << (op.width - 1)
-    return [(0, f"{val(op.y)} = {val(op.a)} if ({val(op.a)} ^ {half}) <= "
-                f"({val(op.b)} ^ {half}) else {val(op.b)}")]
+    return (f"{r(op.a)} if ({r(op.a)} ^ {half}) <= "
+            f"({r(op.b)} ^ {half}) else {r(op.b)}")
 
 
-def _e_max(op, val, gen):
+def _e_max(op, r, gen):
     half = 1 << (op.width - 1)
-    return [(0, f"{val(op.y)} = {val(op.a)} if ({val(op.a)} ^ {half}) >= "
-                f"({val(op.b)} ^ {half}) else {val(op.b)}")]
+    return (f"{r(op.a)} if ({r(op.a)} ^ {half}) >= "
+            f"({r(op.b)} ^ {half}) else {r(op.b)}")
 
 
-def _e_and(op, val, gen):
-    return [(0, f"{val(op.y)} = {val(op.a)} & {val(op.b)}")]
+def _e_and(op, r, gen):
+    return f"{r(op.a)} & {r(op.b)}"
 
 
-def _e_or(op, val, gen):
-    return [(0, f"{val(op.y)} = {val(op.a)} | {val(op.b)}")]
+def _e_or(op, r, gen):
+    return f"{r(op.a)} | {r(op.b)}"
 
 
-def _e_xor(op, val, gen):
-    return [(0, f"{val(op.y)} = {val(op.a)} ^ {val(op.b)}")]
+def _e_xor(op, r, gen):
+    return f"{r(op.a)} ^ {r(op.b)}"
 
 
-def _e_not(op, val, gen):
-    return [(0, f"{val(op.y)} = {val(op.a)} ^ {op.y.mask}")]
+def _e_not(op, r, gen):
+    return f"{r(op.a)} ^ {op.y.mask}"
 
 
-def _e_shl(op, val, gen):
-    return [(0, f"{val(op.y)} = (({val(op.a)} << {val(op.b)}) & {op.y.mask}) "
-                f"if {val(op.b)} < {op.width} else 0")]
+def _e_shl(op, r, gen):
+    return (f"(({r(op.a)} << {r(op.b)}) & {op.y.mask}) "
+            f"if {r(op.b)} < {op.width} else 0")
 
 
-def _e_lshr(op, val, gen):
-    return [(0, f"{val(op.y)} = ({val(op.a)} >> {val(op.b)}) "
-                f"if {val(op.b)} < {op.width} else 0")]
+def _e_lshr(op, r, gen):
+    return f"({r(op.a)} >> {r(op.b)}) if {r(op.b)} < {op.width} else 0"
 
 
-def _e_ashr(op, val, gen):
+def _e_ashr(op, r, gen):
     half = 1 << (op.width - 1)
-    sa = _signed(val(op.a), op.width)
-    return [
-        (0, f"if {val(op.b)} < {op.width}:"),
-        (1, f"{val(op.y)} = ({sa} >> {val(op.b)}) & {op.y.mask}"),
-        (0, "else:"),
-        (1, f"{val(op.y)} = {op.y.mask} if {val(op.a)} & {half} else 0"),
-    ]
+    sa = _signed(r(op.a), op.width)
+    return (f"{r(op.b)} < {op.width}",
+            f"({sa} >> {r(op.b)}) & {op.y.mask}",
+            f"{op.y.mask} if {r(op.a)} & {half} else 0", None)
 
 
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
-def _e_cmp(op, val, gen):
+def _e_cmp(op, r, gen):
     symbol = _CMP[op.op]
-    a, b = val(op.a), val(op.b)
+    a, b = r(op.a), r(op.b)
     if op.signed_mode and op.op not in ("eq", "ne"):
         half = 1 << (op.width - 1)
         a, b = f"({a} ^ {half})", f"({b} ^ {half})"
-    return [(0, f"{val(op.y)} = 1 if {a} {symbol} {b} else 0")]
+    return f"1 if {a} {symbol} {b} else 0"
 
 
-def _e_zext(op, val, gen):
-    return [(0, f"{val(op.y)} = {val(op.a)}")]
+def _e_zext(op, r, gen):
+    return r(op.a)
 
 
-def _e_sext(op, val, gen):
+def _e_sext(op, r, gen):
     ext = op.y.mask ^ op.a.mask
     half = 1 << (op.a.width - 1)
-    return [(0, f"{val(op.y)} = ({val(op.a)} | {ext}) "
-                f"if {val(op.a)} & {half} else {val(op.a)}")]
+    return f"({r(op.a)} | {ext}) if {r(op.a)} & {half} else {r(op.a)}"
 
 
-def _e_trunc(op, val, gen):
-    return [(0, f"{val(op.y)} = {val(op.a)} & {op.y.mask}")]
+def _e_trunc(op, r, gen):
+    return f"{r(op.a)} & {op.y.mask}"
 
 
-def _e_slice(op, val, gen):
-    return [(0, f"{val(op.y)} = ({val(op.a)} >> {op.low}) & {op.y.mask}")]
+def _e_slice(op, r, gen):
+    return f"({r(op.a)} >> {op.low}) & {op.y.mask}"
 
 
-def _e_concat(op, val, gen):
-    expr = val(op.inputs[0])
+def _e_concat(op, r, gen):
+    expr = r(op.inputs[0])
     for sig in op.inputs[1:]:
-        expr = f"(({expr} << {sig.width}) | {val(sig)})"
-    return [(0, f"{val(op.y)} = {expr}")]
+        expr = f"(({expr} << {sig.width}) | {r(sig)})"
+    return expr
 
 
-def _e_mux(op, val, gen):
-    sel = val(op.sel)
-    if not sel.lstrip("-").isdigit():
+def _e_mux(op, r, gen):
+    index = r.const(op.sel)
+    if index is None:
         # dynamic select: guard chain, out-of-range falls back to input 0
-        expr = val(op.inputs[0])
+        sel = r(op.sel)
+        expr = r(op.inputs[0])
         for index in range(len(op.inputs) - 1, 0, -1):
-            expr = f"{val(op.inputs[index])} if {sel} == {index} else {expr}"
-        return [(0, f"{val(op.y)} = {expr}")]
-    index = int(sel)
-    if index >= len(op.inputs):
-        index = 0
-    return [(0, f"{val(op.y)} = {val(op.inputs[index])}")]
+            expr = f"{r(op.inputs[index])} if {sel} == {index} else {expr}"
+        return expr
+    return r(op.inputs[index if index < len(op.inputs) else 0])
 
 
-def _e_sram_read(op, val, gen):
+def _e_sram_read(op, r, gen):
     words = gen.mem(op.image, op.name)
     comp = gen.comp(op)
-    return [
-        (0, f"if {val(op.addr)} < {op.image.depth}:"),
-        (1, f"{val(op.dout)} = {words}[{val(op.addr)}]"),
-        (0, "else:"),
-        (1, f"{val(op.dout)} = 0"),
-        (1, f"{comp}.oob_reads += 1"),
-    ]
+    return (f"{r(op.addr)} < {op.image.depth}", f"{words}[{r(op.addr)}]",
+            "0", f"{comp}.oob_reads += 1")
 
 
-def _e_rom_read(op, val, gen):
+def _e_rom_read(op, r, gen):
     words = gen.mem(op.image, op.name)
     comp = gen.comp(op)
-    return [(0, f"{val(op.dout)} = {words}[{val(op.addr)}] "
-                f"if {val(op.addr)} < {op.image.depth} "
-                f"else {comp}.image.read({val(op.addr)})")]
+    return (f"{words}[{r(op.addr)}] if {r(op.addr)} < {op.image.depth} "
+            f"else {comp}.image.read({r(op.addr)})")
 
 
 # The emitter tables are built lazily: this module is imported from the
@@ -407,31 +471,148 @@ class _Codegen:
 
 
 class _StateIR:
-    """Structured per-state facts, consumed by the trace fuser.
+    """One FSM state, lowered once; every kernel shape renders from it.
 
-    ``samples`` holds ``(reg_key, d_key, d_text, en_text, q_text,
-    q_key)`` tuples — ``en_text`` is ``None`` for unconditional samples,
-    ``d_key`` is ``None`` when the D input is a state constant.
-    ``sram_writes`` holds ``(lines, mem_key, read_tokens)``;
-    ``settle_ops`` holds ``(op_key, out_key, in_keys, lines)`` in
-    topological order, where ``in_keys`` mixes signal keys with
-    memory-image pseudo-keys.  Expression texts are single tokens
-    (a local name or a literal), which the fuser relies on when it
-    reorders commits.
+    Tokens are signal locals (``v<N>``) or literals (a control line's
+    value in this state); statements are ``(out, code, ins)`` triples
+    (see :func:`_render`).  The edge entries, in the order they run:
+
+    * ``samples`` — register samples ``(reg_key, d_key, d, en, q,
+      q_key)``; ``en`` is ``None`` for an unconditional sample and
+      ``d_key`` is ``None`` when D is a state constant;
+    * ``sram_writes`` — ``(mem_key, stmt, we)``: the bounds-checked
+      write block, guarded by the dynamic write-enable token ``we``
+      (``None`` when the port is always on);
+    * the transition — ``target``, the static successor's index, or
+      ``dynamic`` with ``env``, the ``(status, token)`` pairs the
+      transition function reads;
+    * ``forces`` — ``(reg_key, stmt)``: a stuck-at force after the
+      commit of the faulted register;
+    * ``flip`` — the windowed one-shot XOR of a transient flip pinned
+      to this state, or ``None``.
+
+    ``settle_ops`` holds ``(op_key, out_key, in_keys, stmt)`` in
+    topological order; ``in_keys`` mixes signal keys with memory-image
+    pseudo-keys, and a stuck-at force on a net follows the op driving
+    it as an entry of its own (keyed by the net).
     """
 
-    __slots__ = ("index", "name", "dynamic", "env_text", "env_tokens",
-                 "samples", "sram_writes", "settle_ops")
+    __slots__ = ("index", "name", "dynamic", "target", "env", "samples",
+                 "sram_writes", "forces", "flip", "settle_ops")
 
     def __init__(self, index: int, name: str) -> None:
         self.index = index
         self.name = name
         self.dynamic = False
-        self.env_text: Optional[str] = None
-        self.env_tokens: tuple = ()
+        self.target: Optional[int] = None
+        self.env: tuple = ()
         self.samples: List[tuple] = []
         self.sram_writes: List[tuple] = []
+        self.forces: List[tuple] = []
+        self.flip: Optional[tuple] = None
         self.settle_ops: List[tuple] = []
+
+
+def _lower_op(op, r: _Operands, gen: _Codegen, out: str) -> tuple:
+    """*op* as the statement that recomputes its output local *out*."""
+    code = _EMITTERS[type(op)](op, r, gen)
+    if code.__class__ is not str:
+        cond, then, other, extra = code
+        code = ((0, f"if {cond}:"), (1, f"{out} = {then}"),
+                (0, "else:"), (1, f"{out} = {other}"))
+        if extra is not None:
+            code += ((1, extra),)
+    return out, code, tuple(r.ins)
+
+
+def _transition(ir: _StateIR, mode: str, instrumented: bool,
+                n_states: int) -> List[tuple]:
+    """The statements that leave *ir*'s state (see _render_segments)."""
+    if not ir.dynamic:
+        if mode != "plain":
+            return []
+        stmts = [] if ir.target == ir.index else [
+            ("s", str(ir.target), ()), (None, "_nt += 1", ())]
+        if instrumented:
+            stmts.append(
+                (None, f"tc[{ir.index * n_states + ir.target}] += 1", ()))
+        return stmts
+    tokens = tuple(token for _name, token in ir.env)
+    if mode == "guard":
+        # snapshot the status values the transition would read (register
+        # commits after it may clobber the live locals); the caller
+        # tests the loop guard on the snapshot and reconstructs _e once,
+        # at trace exit
+        return [(f"_g{k}", "{%d}" % k, tokens) for k in range(len(tokens))]
+    env = ", ".join("%s: {%d}" % (_lit(repr(name)), k)
+                    for k, (name, _token) in enumerate(ir.env))
+    stmts = [("_e", "_t%d({{%s}})" % (ir.index, env), tokens),
+             (None, ((0, f"if _e != {_lit(repr(ir.name))}:"),
+                     (1, "_nt += 1")), ())]
+    if mode == "plain" or instrumented:
+        stmts.append(("s", "_sid[_e]", ()))
+    if instrumented:
+        stmts.append((None, f"tc[{ir.index * n_states} + s] += 1", ()))
+    return stmts
+
+
+def _render_segments(segments, records, *, mode: str, instrumented: bool,
+                     n_states: int, drop_we: frozenset = frozenset(),
+                     ) -> List[tuple]:
+    """The chosen entries of each ``(kind, ir)`` segment, as statements.
+
+    A record is the set of chosen op keys (settle) or register keys
+    (edge); ``None`` chooses every entry, which is how the plain
+    per-state tree renders.  *mode* renders the transition: ``"plain"``
+    updates ``s`` and tallies every transition, ``"fused"`` leaves
+    static transitions to the trace's hoisted accounting, ``"guard"``
+    only snapshots the status tokens for a loop guard.  SRAM writes
+    whose write-enable token is in *drop_we* are left out.
+
+    An edge runs samples, SRAM writes, transition, commits, forces and
+    flip, except that a register whose old Q is not read later in the
+    edge commits directly, with no ``_qN`` staging temp.
+    """
+    stmts: List[tuple] = []
+    for (kind, ir), chosen in zip(segments, records):
+        if kind == "settle":
+            stmts.extend(stmt for key, _out, _ins, stmt in ir.settle_ops
+                         if chosen is None or key in chosen)
+            continue
+        emitted = [sample for sample in ir.samples
+                   if chosen is None or sample[0] in chosen]
+        writes = [stmt for _key, stmt, we in ir.sram_writes
+                  if we not in drop_we]
+        # tokens read after the sample block: SRAM write operands and
+        # the transition env, plus each later sample's own operands
+        tail = {token for stmt in writes for token in stmt[2]}
+        if ir.dynamic:
+            tail.update(token for _name, token in ir.env)
+        reads_after: List[set] = [set() for _ in emitted]
+        for position in range(len(emitted) - 1, -1, -1):
+            reads_after[position] = set(tail)
+            _rk, _dk, d, en, q, _qk = emitted[position]
+            tail.add(d)
+            if en is not None:
+                tail.update((en, q))
+        commits: List[tuple] = []
+        for position, (_rk, _dk, d, en, q, _qk) in enumerate(emitted):
+            sample = ("{0}", (d,)) if en is None \
+                else ("{0} if {1} else {2}", (d, en, q))
+            if q not in reads_after[position]:
+                stmts.append((q, *sample))
+                continue
+            temp = f"_q{len(commits)}"
+            stmts.append((temp, *sample))
+            commits.append((q, temp, ()))
+        stmts.extend(writes)
+        stmts.extend(_transition(ir, mode, instrumented, n_states))
+        stmts.extend(commits)
+        stmts.extend(stmt for key, stmt in ir.forces
+                     if chosen is None or key in chosen)
+        if ir.flip is not None:
+            stmts.append(ir.flip)
+    return stmts
 
 
 class CompiledProgram:
@@ -460,9 +641,6 @@ class CompiledProgram:
         self._vectors: Dict[str, Dict[str, int]] = {}
         #: trace-fusion summary (traced backend only)
         self.fusion: Optional[dict] = None
-        #: set by a fresh build so the caller can persist the kernel
-        self.cache_payload: Optional[dict] = None
-        self.code = None
 
     def stop_states(self, signal: Signal) -> Optional[frozenset]:
         """States in which *signal* is high, or None if not a Moore line."""
@@ -600,14 +778,12 @@ def _transition_fns(behavior) -> Callable:
     return transition_fn
 
 
-def _build_program(sim: Simulator) -> CompiledProgram:
-    facts = _analyze_design(sim)
+def _generate(sim: Simulator, facts: _DesignFacts) -> Tuple[dict, object]:
+    """Lower every FSM state once, to :class:`_StateIR`, and render the
+    kernel module from it; returns the cache payload and code object."""
     instrumented = bool(getattr(sim, "coverage_enabled", False))
     profiled = bool(getattr(sim, "profile_enabled", False))
-    components = facts.components
     controller = facts.controller
-    domain = facts.domain
-    behavior = facts.behavior
     names = facts.names
     sid = facts.sid
     vectors = facts.vectors
@@ -619,16 +795,15 @@ def _build_program(sim: Simulator) -> CompiledProgram:
     local = facts.local
 
     # --- fault instrumentation (see repro.inject) -----------------------
-    # A stuck-at fault re-forces the target local after every write
-    # site (entry sync, register commits, settle ops); a transient flip
-    # XORs the target once, at the end of the pinned state's edge block
-    # (after commits, so a flipped register output survives the edge),
-    # gated by a cycle window and a one-shot latch.  Runtime parameters
-    # live in ctx["fault"], so the generated source depends only on the
-    # fault's shape (see :func:`_fault_token`).
+    # Faults are IR entries.  A stuck-at is a force statement after every
+    # write to the target local (entry sync, its register's commits, the
+    # op driving it); a transient flip is a one-shot XOR at the end of
+    # its pinned state's edge (after commits, so a flipped register
+    # output survives the edge), gated by a cycle window.  Runtime
+    # parameters live in ctx["fault"], so the generated source depends
+    # only on the fault's shape (see :func:`_fault_token`).
     fault = getattr(sim, "fault_spec", None)
-    fault_sig = None
-    stuck_line = None
+    fault_sig = force = flip = None
     if fault is not None:
         if getattr(sim, "_kernel_kind", "compiled") == "batched":
             raise _Unsupported("fault injection on batched kernels")
@@ -636,14 +811,19 @@ def _build_program(sim: Simulator) -> CompiledProgram:
         if fault_sig is None or id(fault_sig) not in local:
             raise _Unsupported(
                 f"fault target {fault.signal!r} is not a tracked signal")
-        fault_local = local[id(fault_sig)]
+        target = local[id(fault_sig)]
         if fault.kind == "stuck":
-            stuck_line = f"{fault_local} = ({fault_local} & _fa) | _fo"
+            force = (target, "({0} & _fa) | _fo", (target,))
         elif fault.kind == "flip":
             if getattr(fault, "state", None) not in sid:
                 raise _Unsupported(
                     f"fault state {getattr(fault, 'state', None)!r} "
                     f"not an FSM state")
+            flip = (target, (
+                (0, "if _fb[0] == 0 and _fc0 <= n <= _fc1:"),
+                (1, "_fb[0] = 1"),
+                (1, f"{target} = ({{0}} ^ _fx) & {fault_sig.mask}")),
+                (target,))
         else:
             raise _Unsupported(f"unknown fault kind {fault.kind!r}")
 
@@ -653,7 +833,7 @@ def _build_program(sim: Simulator) -> CompiledProgram:
         raise _Unsupported(f"not levelizable: {exc}") from exc
 
     # transitions --------------------------------------------------------
-    transition_fn = _transition_fns(behavior)
+    transition_fn = _transition_fns(facts.behavior)
     static_target: Dict[str, Optional[str]] = {}
     dynamic_fns: Dict[int, Callable] = {}
     for name in names:
@@ -682,56 +862,48 @@ def _build_program(sim: Simulator) -> CompiledProgram:
             return None if name is None else vector[name]
         return const_of
 
-    # per-state analysis -------------------------------------------------
+    # per-state lowering -------------------------------------------------
     n_states = len(names)
     eval_static = [0] * n_states
     edge_static = [0] * n_states
-    settle_blocks: List[List[Tuple[int, str]]] = []
-    edge_blocks: List[List[Tuple[int, str]]] = []
     state_active_ops: List[frozenset] = []
     state_ir: List[_StateIR] = []
     always_armed = 1 + len(roms)  # controller + no-op ROM members
+    is_mem_read = (_T["Sram"], _T["Rom"])
 
     for index, state in enumerate(names):
         vector = vectors[state]
         val = make_val(vector)
         const_of = make_const_of(vector)
-        dynamic = static_target[state] is None
         ir = _StateIR(index, state)
-        ir.dynamic = dynamic
+        successor = static_target[state]
+        ir.dynamic = successor is None
+        ir.target = None if successor is None else sid[successor]
 
         # --- edge phase (state's constants, pre-edge values) ----------
-        lines: List[Tuple[int, str]] = []
-        commits: List[Tuple[int, str]] = []
         roots: List[Signal] = []
         active_names: set = set()
         armed = always_armed
-        temp = 0
         for register in registers:
             enable = register.en
             mode = None if enable is None else const_of(enable)
             if enable is not None and mode == 0:
                 continue
             active_names.add(register.name)
+            armed += 1  # a dynamic enable is counted as armed (estimate)
+            roots.append(register.d)
             d, q = val(register.d), local[id(register.q)]
+            en = None
+            if enable is not None and mode != 1:
+                roots.append(enable)
+                en = val(enable)
+            elif d == q:
+                continue
             d_key = (None if id(register.d) in control_signals
                      else id(register.d))
-            roots.append(register.d)
-            if enable is None or mode == 1:
-                armed += 1
-                if d == q:
-                    continue
-                lines.append((0, f"_q{temp} = {d}"))
-                ir.samples.append(
-                    (id(register), d_key, d, None, q, id(register.q)))
-            else:  # dynamic enable
-                armed += 1  # estimate: counted as armed
-                roots.append(enable)
-                lines.append((0, f"_q{temp} = {d} if {val(enable)} else {q}"))
-                ir.samples.append(
-                    (id(register), d_key, d, val(enable), q, id(register.q)))
-            commits.append((0, f"{q} = _q{temp}"))
-            temp += 1
+            ir.samples.append((id(register), d_key, d, en, q, id(register.q)))
+            if force is not None and register.q is fault_sig:
+                ir.forces.append((id(register), force))
         for sram in srams:
             mode = const_of(sram.we)
             if mode == 0:
@@ -740,60 +912,27 @@ def _build_program(sim: Simulator) -> CompiledProgram:
             roots.extend((sram.addr, sram.din))
             words = gen.mem(sram.image, sram.name)
             comp = gen.comp(sram)
-            block = [
-                (0, f"if {val(sram.addr)} < {sram.image.depth}:"),
-                (1, f"{words}[{val(sram.addr)}] = {val(sram.din)}"),
-                (1, f"{comp}.writes += 1"),
-                (0, "else:"),
-                (1, f"_wo({comp}, {val(sram.addr)})"),
-            ]
+            r = _Operands(val, const_of)
+            addr = r(sram.addr)
+            block = ((0, f"if {addr} < {sram.image.depth}:"),
+                     (1, f"{words}[{addr}] = {r(sram.din)}"),
+                     (1, f"{comp}.writes += 1"),
+                     (0, "else:"),
+                     (1, f"_wo({comp}, {addr})"))
+            we = None
             if mode == 1:
                 armed += 1
-                lines.extend(block)
-                ir.sram_writes.append(
-                    (tuple(block), words,
-                     (val(sram.addr), val(sram.din))))
             else:  # dynamic write enable
                 roots.append(sram.we)
-                guarded = [(0, f"if {val(sram.we)}:")]
-                guarded.extend((ind + 1, text) for ind, text in block)
-                lines.extend(guarded)
-                ir.sram_writes.append(
-                    (tuple(guarded), words,
-                     (val(sram.addr), val(sram.din), val(sram.we))))
-        # controller transition (pre-edge statuses)
-        if dynamic:
+                we = val(sram.we)
+                block = ((0, f"if {r(sram.we)}:"),
+                         *((rel + 1, text) for rel, text in block))
+            ir.sram_writes.append((words, (None, block, tuple(r.ins)), we))
+        if ir.dynamic:  # the controller samples pre-edge statuses
             roots.extend(sig for _, sig in status_items)
-            env = "{" + ", ".join(f"{name!r}: {val(sig)}"
-                                  for name, sig in status_items) + "}"
-            ir.env_text = env
-            ir.env_tokens = tuple(val(sig) for _, sig in status_items)
-            lines.append((0, f"_e = _t{index}({env})"))
-            lines.append((0, f"if _e != {state!r}:"))
-            lines.append((1, "_nt += 1"))
-            lines.append((0, "s = _sid[_e]"))
-            if instrumented:
-                lines.append((0, f"tc[{index * n_states} + s] += 1"))
-        else:
-            target = static_target[state]
-            if target != state:
-                lines.append((0, f"s = {sid[target]}"))
-                lines.append((0, "_nt += 1"))
-                if instrumented:
-                    lines.append(
-                        (0, f"tc[{index * n_states + sid[target]}] += 1"))
-            elif instrumented:
-                lines.append((0, f"tc[{index * n_states + index}] += 1"))
-        lines.extend(commits)
-        if stuck_line is not None:
-            lines.append((0, stuck_line))
-        if fault is not None and fault.kind == "flip" \
-                and sid[fault.state] == index:
-            lines.append((0, "if _fb[0] == 0 and _fc0 <= n <= _fc1:"))
-            lines.append((1, "_fb[0] = 1"))
-            lines.append((1, f"{fault_local} = "
-                             f"({fault_local} ^ _fx) & {fault_sig.mask}"))
-        edge_blocks.append(lines)
+            ir.env = tuple((name, val(sig)) for name, sig in status_items)
+        if flip is not None and sid[fault.state] == index:
+            ir.flip = flip
         edge_static[index] = armed
 
         # --- settle phase: live cone under this state's constants -----
@@ -804,35 +943,29 @@ def _build_program(sim: Simulator) -> CompiledProgram:
                 live_ops.add(id(op))
                 for sig in _op_inputs(op, const_of):
                     live.add(id(sig))
-        block: List[Tuple[int, str]] = []
-        is_mem_read = (_T["Sram"], _T["Rom"])
         for op in topo:
-            if id(op) in live_ops:
-                op_lines = _EMITTERS[type(op)](op, val, gen)
-                if stuck_line is not None \
-                        and _op_output(op) is fault_sig:
-                    op_lines = list(op_lines) + [(0, stuck_line)]
-                block.extend(op_lines)
-                active_names.add(op.name)
-                in_keys = [id(sig) for sig in _op_inputs(op, const_of)
-                           if id(sig) not in control_signals]
-                if type(op) in is_mem_read:
-                    # reads also depend on the memory contents
-                    in_keys.append(gen.mem(op.image, op.name))
-                ir.settle_ops.append((id(op), id(_op_output(op)),
-                                      tuple(in_keys), tuple(op_lines)))
-        settle_blocks.append(block)
+            if id(op) not in live_ops:
+                continue
+            output = _op_output(op)
+            stmt = _lower_op(op, _Operands(val, const_of), gen,
+                             local[id(output)])
+            active_names.add(op.name)
+            in_keys = [id(sig) for sig in _op_inputs(op, const_of)
+                       if id(sig) not in control_signals]
+            if type(op) in is_mem_read:
+                # reads also depend on the memory contents
+                in_keys.append(gen.mem(op.image, op.name))
+            ir.settle_ops.append((id(op), id(output), tuple(in_keys), stmt))
+            if force is not None and output is fault_sig:
+                key = id(output)
+                ir.settle_ops.append((key, key, (key,), force))
         state_active_ops.append(frozenset(active_names))
         state_ir.append(ir)
         eval_static[index] = len(live_ops)
 
     # --- trace fusion (traced and batched backends) --------------------
-    # fused trace bodies are built from the structured _StateIR, which
-    # cannot see raw injected fault lines — so fusion is disabled while
-    # a fault spec is active (traced degrades to plain compiled)
     fusion = None
-    if fault is None and \
-            getattr(sim, "_kernel_kind", "compiled") in ("traced", "batched"):
+    if getattr(sim, "_kernel_kind", "compiled") in ("traced", "batched"):
         from .trace import build_fusion  # sibling module imports us back
 
         fusion = build_fusion(
@@ -840,8 +973,8 @@ def _build_program(sim: Simulator) -> CompiledProgram:
             static_target=static_target, dynamic_fns=dynamic_fns,
             statuses=[(name, signal.width)
                       for name, signal in status_items],
-            settle_blocks=settle_blocks, instrumented=instrumented,
-            n_states=n_states, profiled=profiled)
+            instrumented=instrumented, n_states=n_states,
+            profiled=profiled)
 
     # --- assemble the module -------------------------------------------
     out: List[str] = []
@@ -849,21 +982,23 @@ def _build_program(sim: Simulator) -> CompiledProgram:
     def emit(indent: int, text: str) -> None:
         out.append("    " * indent + text)
 
-    def emit_tree(indent: int, ids: List[int],
-                  blocks: List[List[Tuple[int, str]]]) -> None:
+    def emit_lines(indent: int, lines: List[Tuple[int, str]]) -> None:
+        for rel, text in lines:
+            out.append("    " * (indent + rel) + text)
+
+    def emit_tree(indent: int, ids: List[int], kind: str) -> None:
+        """The plain per-state tree: every entry of every state."""
         if len(ids) == 1:
-            body = blocks[ids[0]]
-            if not body:
-                emit(indent, "pass")
-            else:
-                for rel, text in body:
-                    emit(indent + rel, text)
+            stmts = _render_segments(
+                [(kind, state_ir[ids[0]])], [None], mode="plain",
+                instrumented=instrumented, n_states=n_states)
+            emit_lines(indent, _render(stmts, 0) or [(0, "pass")])
             return
         mid = len(ids) // 2
         emit(indent, f"if s < {ids[mid]}:")
-        emit_tree(indent + 1, ids[:mid], blocks)
+        emit_tree(indent + 1, ids[:mid], kind)
         emit(indent, "else:")
-        emit_tree(indent + 1, ids[mid:], blocks)
+        emit_tree(indent + 1, ids[mid:], kind)
 
     emit(0, "def _make(ctx):")
     emit(1, '_sid = ctx["sid"]')
@@ -899,11 +1034,11 @@ def _build_program(sim: Simulator) -> CompiledProgram:
     for index, sig in enumerate(tracked):
         emit(2, f"v{index} = _S[{index}].value")
     state_ids = list(range(n_states))
-    if stuck_line is not None:
+    if force is not None:
         # the pre-run settle saw the unforced value (a constant's net
         # never changes again): force it, re-settle the start state
-        emit(2, stuck_line)
-        emit_tree(2, state_ids, settle_blocks)
+        emit_lines(2, _render([force], 0))
+        emit_tree(2, state_ids, "settle")
     emit(2, "n = 0")
     emit(2, "_nt = 0")
     if fusion is not None:
@@ -914,16 +1049,15 @@ def _build_program(sim: Simulator) -> CompiledProgram:
     emit(4, "if s in stop:")
     emit(5, "break")
     if fusion is not None:
-        for rel, text in fusion.dispatch:
-            emit(4 + rel, text)
+        emit_lines(4, fusion.dispatch)
     emit(4, "counts[s] += 1")
     emit(4, "n += 1")
     if profiled:
         # the edge tree rewrites ``s``; remember whose cycle this was
         emit(4, "_ps = s")
         emit(4, "_pt = _pc()")
-    emit_tree(4, state_ids, edge_blocks)
-    emit_tree(4, state_ids, settle_blocks)
+    emit_tree(4, state_ids, "edge")
+    emit_tree(4, state_ids, "settle")
     if profiled:
         emit(4, "pw[_ps] += _pc() - _pt")
     emit(2, "finally:")
@@ -935,47 +1069,8 @@ def _build_program(sim: Simulator) -> CompiledProgram:
     emit(1, "return _run")
     source = "\n".join(out) + "\n"
 
-    namespace: Dict[str, object] = {}
     code = compile(source, f"<compiled-sim:{sim.name}>", "exec")
-    exec(code, namespace)
-    ctx = {
-        "sid": sid,
-        "signals": tracked,
-        "mems": gen.mems,
-        "comps": gen.comps,
-        "helpers": gen.helpers,
-        "transitions": dynamic_fns,
-        "write_oob": _write_oob,
-        "fault": _fault_runtime(fault),
-        "perf": time.perf_counter_ns,
-    }
-
-    program = CompiledProgram()
-    program.runner = namespace["_make"](ctx)
-    program.controller = controller
-    program.domain = domain
-    program.names = names
-    program.sid = sid
-    program.n_states = n_states
-    program.control_sync = [
-        (signal, [vectors[state][output] & signal.mask for state in names])
-        for output, signal in controller.output_signals.items()
-    ]
-    program.control_names = control_signals
-    program.eval_static = eval_static
-    program.edge_static = edge_static
-    program.comb_components = [c for c in components if hasattr(c, "evaluate")]
-    program.images = list({id(m.image): m.image
-                           for m in (*srams, *roms)}.values())
-    program.component_ids = {id(c) for c in components}
-    program.instrumented = instrumented
-    program.profiled = profiled
-    program.state_active_ops = state_active_ops
-    program.source = source
-    program._vectors = vectors
-    program.fusion = fusion.summary if fusion is not None else None
-    program.code = code
-    program.cache_payload = {
+    payload = {
         "kind": "kernel",
         "names": names,
         "n_tracked": len(tracked),
@@ -991,10 +1086,10 @@ def _build_program(sim: Simulator) -> CompiledProgram:
         "instrumented": instrumented,
         "profiled": profiled,
         "fault_token": _fault_token(fault),
-        "fusion": program.fusion,
+        "fusion": fusion.summary if fusion is not None else None,
         "source": source,
     }
-    return program
+    return payload, code
 
 
 def _write_oob(comp, address):
@@ -1004,77 +1099,72 @@ def _write_oob(comp, address):
     )
 
 
-def _program_from_cache(sim: Simulator, payload: dict,
+def _bind(sim: Simulator, facts: _DesignFacts, payload: dict,
+          code) -> CompiledProgram:
+    """Bind a kernel (freshly generated or cached) to *sim*'s live
+    elaboration: objects the module uses are looked up by the names
+    of the components that own them."""
+    by_name = sim._components
+    transition_fn = _transition_fns(facts.behavior)
+    namespace: Dict[str, object] = {}
+    exec(code, namespace)
+    ctx = {
+        "sid": facts.sid,
+        "signals": facts.tracked,
+        "mems": [by_name[owner].image._words for owner in payload["mems"]],
+        "comps": [by_name[owner] for owner in payload["comps"]],
+        "helpers": [_make_div_helper(by_name[owner])
+                    for owner in payload["helpers"]],
+        "transitions": {int(index): transition_fn(facts.names[int(index)])
+                        for index in payload["dynamic"]},
+        "write_oob": _write_oob,
+        "fault": _fault_runtime(getattr(sim, "fault_spec", None)),
+        "perf": time.perf_counter_ns,
+    }
+    program = CompiledProgram()
+    program.runner = namespace["_make"](ctx)
+    program.controller = facts.controller
+    program.domain = facts.domain
+    program.names = facts.names
+    program.sid = facts.sid
+    program.n_states = len(facts.names)
+    program.control_sync = [
+        (signal, [facts.vectors[state][output] & signal.mask
+                  for state in facts.names])
+        for output, signal in facts.controller.output_signals.items()
+    ]
+    program.control_names = facts.control_signals
+    program.eval_static = list(payload["eval_static"])
+    program.edge_static = list(payload["edge_static"])
+    program.comb_components = [c for c in facts.components
+                               if hasattr(c, "evaluate")]
+    program.images = [by_name[owner].image for owner in payload["images"]]
+    program.component_ids = {id(c) for c in facts.components}
+    program.instrumented = payload["instrumented"]
+    program.profiled = payload.get("profiled", False)
+    program.state_active_ops = [frozenset(active)
+                                for active in payload["active_ops"]]
+    program.source = payload["source"]
+    program._vectors = facts.vectors
+    program.fusion = payload.get("fusion")
+    return program
+
+
+def _program_from_cache(sim: Simulator, facts: _DesignFacts, payload: dict,
                         code) -> Optional[CompiledProgram]:
     """Re-bind a cached kernel against a fresh elaboration of the same
     design; any structural mismatch returns ``None`` (build fresh)."""
     try:
-        facts = _analyze_design(sim)
-    except _Unsupported:
-        return None
-    try:
-        if facts.names != payload["names"]:
+        if facts.names != payload["names"] \
+                or len(facts.tracked) != payload["n_tracked"] \
+                or payload["instrumented"] != bool(
+                    getattr(sim, "coverage_enabled", False)) \
+                or payload.get("profiled", False) != bool(
+                    getattr(sim, "profile_enabled", False)) \
+                or payload.get("fault_token", "") != _fault_token(
+                    getattr(sim, "fault_spec", None)):
             return None
-        if len(facts.tracked) != payload["n_tracked"]:
-            return None
-        if payload["instrumented"] != bool(
-                getattr(sim, "coverage_enabled", False)):
-            return None
-        if payload.get("profiled", False) != bool(
-                getattr(sim, "profile_enabled", False)):
-            return None
-        if payload.get("fault_token", "") != _fault_token(
-                getattr(sim, "fault_spec", None)):
-            return None
-        by_name = sim._components
-        mems = [by_name[owner].image._words for owner in payload["mems"]]
-        comps = [by_name[owner] for owner in payload["comps"]]
-        helpers = [_make_div_helper(by_name[owner])
-                   for owner in payload["helpers"]]
-        images = [by_name[owner].image for owner in payload["images"]]
-        transition_fn = _transition_fns(facts.behavior)
-        dynamic_fns = {int(index): transition_fn(facts.names[int(index)])
-                       for index in payload["dynamic"]}
-        namespace: Dict[str, object] = {}
-        exec(code, namespace)
-        ctx = {
-            "sid": facts.sid,
-            "signals": facts.tracked,
-            "mems": mems,
-            "comps": comps,
-            "helpers": helpers,
-            "transitions": dynamic_fns,
-            "write_oob": _write_oob,
-            "fault": _fault_runtime(getattr(sim, "fault_spec", None)),
-            "perf": time.perf_counter_ns,
-        }
-        program = CompiledProgram()
-        program.runner = namespace["_make"](ctx)
-        program.controller = facts.controller
-        program.domain = facts.domain
-        program.names = facts.names
-        program.sid = facts.sid
-        program.n_states = len(facts.names)
-        program.control_sync = [
-            (signal, [facts.vectors[state][output] & signal.mask
-                      for state in facts.names])
-            for output, signal in facts.controller.output_signals.items()
-        ]
-        program.control_names = facts.control_signals
-        program.eval_static = list(payload["eval_static"])
-        program.edge_static = list(payload["edge_static"])
-        program.comb_components = [c for c in facts.components
-                                   if hasattr(c, "evaluate")]
-        program.images = images
-        program.component_ids = {id(c) for c in facts.components}
-        program.instrumented = payload["instrumented"]
-        program.profiled = payload.get("profiled", False)
-        program.state_active_ops = [frozenset(active)
-                                    for active in payload["active_ops"]]
-        program.source = payload["source"]
-        program._vectors = facts.vectors
-        program.fusion = payload.get("fusion")
-        return program
+        return _bind(sim, facts, payload, code)
     except Exception:  # noqa: BLE001 - any mismatch falls back to a build
         return None
 
@@ -1189,8 +1279,8 @@ class CompiledSimulator(Simulator):
     def set_fault_spec(self, spec) -> None:
         """Install (or clear, with ``None``) a kernel fault spec.
 
-        The program is regenerated with the fault's forcing/flip lines
-        compiled in — the same mechanism as coverage instrumentation.
+        The program is regenerated with the fault's force/flip entries
+        in its IR — the same mechanism as coverage instrumentation.
         A spec outside the compiled subset (e.g. targeting a Moore
         control line) makes compilation fall back to the event kernel;
         callers that need the fault to take effect must then install
@@ -1241,24 +1331,25 @@ class CompiledSimulator(Simulator):
         """
         from ..core.kernelcache import default_cache, digest_parts
 
-        digest = self.design_digest
-        if not digest:
-            return _build_program(self)
-        cache = default_cache()
-        key = digest_parts("kernel-v%d" % _CODEGEN_VERSION, digest,
-                           self._kernel_kind,
-                           int(bool(self.coverage_enabled)),
-                           int(bool(self.profile_enabled)),
-                           _fault_token(self.fault_spec))
-        payload, code = cache.get("kernel", key)
+        cache = None
+        payload = code = None
+        if self.design_digest:
+            cache = default_cache()
+            key = digest_parts("kernel-v%d" % _CODEGEN_VERSION,
+                               self.design_digest, self._kernel_kind,
+                               int(bool(self.coverage_enabled)),
+                               int(bool(self.profile_enabled)),
+                               _fault_token(self.fault_spec))
+            payload, code = cache.get("kernel", key)
+        facts = _analyze_design(self)
         if payload is not None and code is not None:
-            program = _program_from_cache(self, payload, code)
+            program = _program_from_cache(self, facts, payload, code)
             if program is not None:
                 return program
-        program = _build_program(self)
-        if program.cache_payload is not None and program.code is not None:
-            cache.put("kernel", key, program.cache_payload, program.code)
-        return program
+        payload, code = _generate(self, facts)
+        if cache is not None:
+            cache.put("kernel", key, payload, code)
+        return _bind(self, facts, payload, code)
 
     # -- per-call safety checks ----------------------------------------
     def _fastpath_blocked(self, program: CompiledProgram) -> Optional[str]:

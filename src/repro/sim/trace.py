@@ -7,44 +7,62 @@ stop-set membership, cycle/visit accounting, and two binary dispatches
 sweep — spend almost all simulated cycles repeating the same short state
 sequence, so this module compiles those sequences into single fused
 blocks, the trace-compilation idea of the Verilator lineage applied at
-the FSM-path level:
+the FSM-path level.
+
+Fusion works on the one kernel IR, :class:`~repro.sim.compiled._StateIR`:
+each state is lowered once into register samples, SRAM write blocks, a
+transition, fault entries (stuck-at forces, a pinned flip) and settle
+ops, every one a statement ``(out, code, ins)`` whose read tokens are
+explicit.  The plain per-state tree and every fused body are rendered
+from it by the one renderer,
+:func:`~repro.sim.compiled._render_segments`, which chooses the entries
+a shape runs and the transition form it needs; this module only decides
+*which* entries run and rewrites tokens:
 
 * **traces** are found statically on the FSM graph: *loop* traces are a
   header reached by a chain of static (unconditional) states ending in
   one dynamic state whose enumerated successors include the header;
   *linear* traces are maximal chains of static states;
 * inside a fused trace, signal values stay in Python locals across all
-  states, and an incremental *dirty-clock* analysis drops every
-  recomputation whose inputs provably did not change since it last ran
-  (per-operator: never emitted, an input written since, or the
-  specialized code text differs from the previous state's);
+  states, and an incremental *dirty-clock* analysis drops every entry
+  whose inputs provably did not change since it last ran (per-operator:
+  never emitted, an input written since, or its statement differs from
+  the previous state's);
 * a loop's steady-state body is the **union** of per-iteration emission
   sets, iterated to a fixed point from a fully-dirty peel iteration, so
   early trips are covered and extra emissions are value no-ops;
 * per-state dispatch inside a loop collapses to one guarded ``while``
   over the loop's exit statuses; cycle/visit/transition accounting is
   hoisted out of the body and multiplied by the trip count;
+* token passes shrink the body: pass-through settle ops are forwarded
+  (consumers read the root token), register rename chains are
+  copy-propagated until loop exit, and loop-invariant dynamic write
+  enables select a slim body without the dead write blocks;
 * register/status sync with the event kernel is untouched: the fused
   block runs between the same entry sync and exit write-back as the
   plain compiled kernel, and trace boundaries re-settle through the
   plain per-state cones.
 
-Anything the analysis cannot prove — non-enumerable successor sets,
-over-long chains, non-converging bodies — simply is not fused; the
-generic per-state path (bit-identical to the compiled backend) handles
-it.  Fused code must remain byte-identical to the event kernel in
-observable outputs, including under coverage instrumentation
-(``enable_coverage()`` regenerates fused code with transition tallies
-compiled in, it does not fall back).
+An armed fault keeps fusion — a stuck-at force is an entry like any
+other — except that a trace containing a flip's pinned state is not
+fused, because ``n`` (which the flip's cycle window reads) is hoisted
+out of fused bodies.  Anything the analysis cannot prove —
+non-enumerable successor sets, over-long chains, non-converging bodies —
+simply is not fused; the generic per-state path handles it.  Fused code
+must remain identical to the event kernel in observable outputs,
+including under coverage instrumentation (``enable_coverage()``
+regenerates fused code with transition tallies compiled in, it does not
+fall back).
 """
 
 from __future__ import annotations
 
 import itertools
-import re
+from collections import Counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from .compiled import CompiledSimulator, _StateIR
+from .compiled import (CompiledSimulator, _copy_source, _is_local, _render,
+                       _render_segments, _StateIR, _subst)
 
 __all__ = ["TracedSimulator", "build_fusion"]
 
@@ -124,15 +142,17 @@ def _guard_combos(fn, statuses: List[Tuple[str, int]], header: str,
 # Trace detection (static, deterministic — the plan is part of the
 # generated source, which the kernel cache persists)
 # ----------------------------------------------------------------------
-def _find_traces(names, sid, static_target, dynamic_fns, statuses):
-    """Loop and linear traces over the FSM graph, disjoint by state."""
+def _find_traces(names, sid, static_target, dynamic_fns, statuses,
+                 pinned=()):
+    """Loop and linear traces over the FSM graph, disjoint by state and
+    free of the *pinned* states (which may only end a linear trace)."""
     succ_map: Dict[str, FrozenSet[str]] = {}
     for index in sorted(dynamic_fns):
         succs = _enumerate_successors(dynamic_fns[index], statuses)
         if succs and all(target in sid for target in succs):
             succ_map[names[index]] = succs
 
-    claimed: set = set()
+    claimed = set(pinned)
     loops: List[tuple] = []
     for d_name in sorted(succ_map, key=sid.__getitem__):
         best = None
@@ -200,9 +220,9 @@ class _Clock:
 
     ``written`` maps a value key (signal local, or a memory pseudo-key)
     to the tick of its most recent write.  ``op_emit`` remembers when a
-    combinational op last ran and what code it ran as; ``reg_commit``
-    remembers a register's last commit tick and the D-expression text it
-    latched (``None`` poisons the entry, forcing the next sample).
+    settle entry last ran and what statement it ran as; ``reg_commit``
+    remembers a register's last commit tick and the D token it latched
+    (``None`` poisons the entry, forcing the next sample).
     """
 
     __slots__ = ("tick", "written", "op_emit", "reg_commit")
@@ -225,13 +245,13 @@ def _walk(clock: _Clock, segments) -> List[frozenset]:
     for kind, ir in segments:
         emitted = set()
         if kind == "settle":
-            for op_key, out_key, in_keys, op_lines in ir.settle_ops:
+            for op_key, out_key, in_keys, stmt in ir.settle_ops:
                 previous = clock.op_emit.get(op_key)
-                if previous is None or previous[1] != op_lines or any(
+                if previous is None or previous[1] != stmt or any(
                         clock.written.get(key, -1) > previous[0]
                         for key in in_keys):
                     clock.tick += 1
-                    clock.op_emit[op_key] = (clock.tick, op_lines)
+                    clock.op_emit[op_key] = (clock.tick, stmt)
                     clock.written[out_key] = clock.tick
                     emitted.add(op_key)
         else:  # edge
@@ -249,7 +269,7 @@ def _walk(clock: _Clock, segments) -> List[frozenset]:
                 if need:
                     emitted.add(reg_key)
                     sampled.append(sample)
-            for _lines, mem_key, _reads in ir.sram_writes:
+            for mem_key, _stmt, _we in ir.sram_writes:
                 clock.tick += 1
                 clock.written[mem_key] = clock.tick
             for sample in sampled:
@@ -265,27 +285,28 @@ def _walk(clock: _Clock, segments) -> List[frozenset]:
 def _copy_aliases(chain, ir_of) -> Tuple[set, Dict[str, str]]:
     """Pass-through settle ops forwardable inside a fused loop body.
 
-    A settle op qualifies when, in *every* state of the chain, its code
-    is the same single ``out = token`` assignment (a comb wire, or a
-    constant fold stable across the trace).  Such copies run on every
-    loop iteration only to rename a value; forwarding lets body
-    consumers read the root token directly, the copy is dropped from
-    the rendered body, and the caller replays all dropped copies once
-    at trace exit (``out = root`` is order-independent because roots
-    are never dropped).  Returns ``(dropped_op_keys, out -> root)``.
+    A settle op qualifies when, in *every* state of the chain, it is the
+    same lone ``out = token`` copy (a comb wire, or a constant fold
+    stable across the trace) and nothing else writes ``out`` (a stuck-at
+    force does).  Such copies run on every loop iteration only to rename
+    a value; forwarding lets body consumers read the root token
+    directly, the copy is dropped from the rendered body, and the caller
+    replays all dropped copies once at trace exit (``out = root`` is
+    order-independent because roots are never dropped).  Returns
+    ``(dropped_op_keys, out -> root)``.
     """
     candidates: Dict[int, Tuple[str, str]] = {}
     disqualified: set = set()
     for name in chain:
-        for op_key, _out_key, _in_keys, op_lines in ir_of[name].settle_ops:
+        ops = ir_of[name].settle_ops
+        writers = Counter(stmt[0] for _key, _out, _ins, stmt in ops)
+        for op_key, _out_key, _in_keys, stmt in ops:
             if op_key in disqualified:
                 continue
+            out, source = stmt[0], _copy_source(stmt)
             entry = None
-            if len(op_lines) == 1 and op_lines[0][0] == 0:
-                left, sep, right = op_lines[0][1].partition(" = ")
-                if sep and left.isidentifier() and left != right \
-                        and (right.isidentifier() or right.isdigit()):
-                    entry = (left, right)
+            if source is not None and source != out and writers[out] == 1:
+                entry = (out, source)
             if entry is None or candidates.get(op_key, entry) != entry:
                 disqualified.add(op_key)
                 candidates.pop(op_key, None)
@@ -317,49 +338,37 @@ def _copy_aliases(chain, ir_of) -> Tuple[set, Dict[str, str]]:
 
 
 def _substitute_ir(ir: _StateIR, resolved: Dict[str, str],
-                   pattern, dropped: set) -> _StateIR:
-    """Render-side clone of *ir* with forwarded tokens substituted.
+                   dropped: set) -> _StateIR:
+    """Render-side clone of *ir* reading forwarded roots.
 
     The emission analysis always runs on the original IR (dropped
     copies still mark their outputs written, so downstream consumers
     stay correctly dirty); only rendering consumes the clone.
     """
-    def sub(text: str) -> str:
-        return pattern.sub(lambda m: resolved[m.group(0)], text)
+    def get(token: Optional[str]) -> Optional[str]:
+        return resolved.get(token, token)
 
     clone = _StateIR(ir.index, ir.name)
     clone.dynamic = ir.dynamic
-    clone.env_text = sub(ir.env_text) if ir.env_text else ir.env_text
-    clone.env_tokens = tuple(resolved.get(token, token)
-                             for token in ir.env_tokens)
+    clone.target = ir.target
+    clone.flip = ir.flip
+    clone.env = tuple((name, get(token)) for name, token in ir.env)
     clone.samples = [
-        (reg_key, d_key, resolved.get(d_text, d_text),
-         None if en_text is None else resolved.get(en_text, en_text),
-         q_text, q_key)
-        for reg_key, d_key, d_text, en_text, q_text, q_key in ir.samples]
-    clone.sram_writes = [
-        (tuple((rel, sub(text)) for rel, text in lines), mem_key,
-         tuple(resolved.get(token, token) for token in reads))
-        for lines, mem_key, reads in ir.sram_writes]
+        (reg_key, d_key, get(d), get(en), q, q_key)
+        for reg_key, d_key, d, en, q, q_key in ir.samples]
+    clone.sram_writes = [(mem_key, _subst(stmt, resolved), get(we))
+                         for mem_key, stmt, we in ir.sram_writes]
+    clone.forces = [(key, _subst(stmt, resolved))
+                    for key, stmt in ir.forces]
     clone.settle_ops = [
-        (op_key, out_key, in_keys,
-         tuple((rel, sub(text)) for rel, text in op_lines))
-        for op_key, out_key, in_keys, op_lines in ir.settle_ops
+        (op_key, out_key, in_keys, _subst(stmt, resolved))
+        for op_key, out_key, in_keys, stmt in ir.settle_ops
         if op_key not in dropped]
     return clone
 
 
-#: pure register-to-register (or constant) copy, eligible for pending
-#: elimination; only plain signal locals qualify — underscore-prefixed
-#: names (_g*, _q*, _e, _i) are read outside the body by the loop guard
-#: and exit dispatch and must stay materialized
-_PURE_COPY_RE = re.compile(r"^(v\d+) = (v\d+|\d+)$")
-_SIMPLE_ASSIGN_RE = re.compile(r"^([A-Za-z_]\w*) = (.+)$")
-_TOKEN_RE = re.compile(r"\b[A-Za-z_]\w*\b")
-
-
-def _propagate_copies(body: List[Tuple[int, str]],
-                      ) -> Optional[Tuple[List[Tuple[int, str]], List[str]]]:
+def _propagate_copies(body: List[tuple],
+                      ) -> Optional[Tuple[List[tuple], List[tuple]]]:
     """Copy propagation + dead-store elimination over a steady loop body.
 
     Register commit chains (``v264 = v124`` ... ``v16 = v264``) dominate
@@ -369,7 +378,9 @@ def _propagate_copies(body: List[Tuple[int, str]],
     to read the source directly, and the store is only materialized when
     it can no longer be deferred (source about to be overwritten), is
     dead (target overwritten first), or survives to loop exit (returned
-    as ``exit_stores`` for the caller's repair block).
+    as ``exit_stores`` for the caller's repair block).  Only signal
+    locals are deferred: kernel temps (``_g*``, ``_q*``, ``_e``) are
+    read outside the body by the loop guard and exit dispatch.
 
     The body is a loop, so the alias state at entry must equal the
     state at exit for cross-iteration reads to substitute soundly; the
@@ -379,77 +390,44 @@ def _propagate_copies(body: List[Tuple[int, str]],
     and a surviving pending implies neither side was rewritten after
     the copy, hence target == source when the loop is entered.
     """
-    if any("'" in text or '"' in text for _ind, text in body):
-        return None  # defensive: token substitution assumes no strings
-    # group into top-level statements: a base-indent line plus any
-    # following indented lines / else-elif continuations form one unit
-    statements: List[List[Tuple[int, str]]] = []
-    position = 0
-    while position < len(body):
-        if body[position][0] != 0:
-            return None  # unexpected shape
-        stop = position + 1
-        while stop < len(body) and (
-                body[stop][0] > 0
-                or body[stop][1].startswith(("else", "elif"))):
-            stop += 1
-        statements.append(body[position:stop])
-        position = stop
-
     def one_pass(entry: Dict[str, str]):
         alias = dict(entry)
-        out: List[Tuple[int, str]] = []
+        out: List[tuple] = []
 
         def materialize(targets) -> None:
             for target in sorted(targets):
-                out.append((0, f"{target} = {alias.pop(target)}"))
+                out.append((target, "{0}", (alias.pop(target),)))
 
-        def substitute(text: str) -> str:
-            return _TOKEN_RE.sub(
-                lambda m: alias.get(m.group(0), m.group(0)), text)
-
-        for statement in statements:
-            if len(statement) == 1:
-                match = _SIMPLE_ASSIGN_RE.match(statement[0][1])
-                if match is None:
-                    # unknown shape (augmented assign, bare call):
-                    # full barrier, emit untouched
-                    materialize(list(alias))
-                    out.append(statement[0])
-                    continue
-                target, rhs = match.groups()
-                rhs = substitute(rhs)  # reads happen before the write
-                materialize([t for t in alias if alias[t] == target])
-                alias.pop(target, None)  # unconditional overwrite: dead
-                if _PURE_COPY_RE.match(f"{target} = {rhs}"):
-                    if target != rhs:
-                        alias[target] = rhs
-                    continue  # store deferred (or self-copy dropped)
-                out.append((0, f"{target} = {rhs}"))
-            else:
-                # compound (if/else block): arm writes are conditional,
-                # so every pending touching a written name materializes
-                # before the block and no new pendings form inside
-                writes = {match.group(1)
-                          for _ind, text in statement
-                          for match in [_SIMPLE_ASSIGN_RE.match(text)]
-                          if match is not None}
-                materialize([t for t in alias
-                             if t in writes or alias[t] in writes])
-                for indent, text in statement:
-                    match = _SIMPLE_ASSIGN_RE.match(text)
-                    if match is not None:
-                        out.append((indent, f"{match.group(1)} = "
-                                            f"{substitute(match.group(2))}"))
-                    else:
-                        out.append((indent, substitute(text)))
+        for stmt in body:
+            target, code = stmt[0], stmt[1]
+            if code.__class__ is not str:
+                # a block writes its target only conditionally, so every
+                # pending touching it materializes before the block and
+                # no new pending forms inside
+                if target is not None:
+                    materialize([t for t in alias
+                                 if t == target or alias[t] == target])
+                out.append(_subst(stmt, alias))
+                continue
+            stmt = _subst(stmt, alias)  # reads happen before the write
+            if target is None:
+                out.append(stmt)
+                continue
+            materialize([t for t in alias if alias[t] == target])
+            alias.pop(target, None)  # unconditional overwrite: dead
+            source = _copy_source(stmt)
+            if source is not None and _is_local(target):
+                if target != source:
+                    alias[target] = source
+                continue  # store deferred (or self-copy dropped)
+            out.append(stmt)
         return out, alias
 
     entry: Dict[str, str] = {}
     for _round in range(4):
         new_body, exit_alias = one_pass(entry)
         if exit_alias == entry:
-            exit_stores = [f"{target} = {source}"
+            exit_stores = [(target, "{0}", (source,))
                            for target, source in sorted(exit_alias.items())]
             return new_body, exit_stores
         entry = exit_alias
@@ -467,87 +445,8 @@ def _full_sets(segments) -> List[set]:
     return sets
 
 
-# ----------------------------------------------------------------------
-# Rendering
-# ----------------------------------------------------------------------
-def _render_segments(segments, records, base: int, *,
-                     instrumented: bool, n_states: int,
-                     loop_guard: bool = False,
-                     drop_we: frozenset = frozenset(),
-                     ) -> List[Tuple[int, str]]:
-    """Emit the chosen subset of each segment at relative indent *base*.
-
-    Edge segments keep the plain kernel's internal order (samples, SRAM
-    writes, transition, commits), except that a register whose old Q
-    value is provably not read later in the same edge commits directly
-    (no ``_qN`` staging temp) — IR expression texts are single tokens,
-    so "read later" reduces to token membership in the suffix.
-    """
-    out: List[Tuple[int, str]] = []
-    for (kind, ir), chosen in zip(segments, records):
-        if kind == "settle":
-            for op_key, _out_key, _in_keys, op_lines in ir.settle_ops:
-                if op_key in chosen:
-                    out.extend((base + rel, text) for rel, text in op_lines)
-            continue
-        emitted = [sample for sample in ir.samples if sample[0] in chosen]
-        writes = [entry for entry in ir.sram_writes
-                  if not (len(entry[2]) == 3 and entry[2][2] in drop_we)]
-        # tokens read after the sample block: SRAM write operands and
-        # the transition env, plus each later sample's own operands
-        tail: set = set()
-        for _lines, _mem_key, read_tokens in writes:
-            tail.update(read_tokens)
-        if ir.dynamic:
-            tail.update(ir.env_tokens)
-        reads_after: List[set] = [set() for _ in emitted]
-        for position in range(len(emitted) - 1, -1, -1):
-            reads_after[position] = set(tail)
-            _rk, _dk, d_text, en_text, q_text, _qk = emitted[position]
-            tail.add(d_text)
-            if en_text is not None:
-                tail.update((en_text, q_text))
-        commits: List[Tuple[int, str]] = []
-        temp = 0
-        for position, sample in enumerate(emitted):
-            _reg_key, _d_key, d_text, en_text, q_text, _q_key = sample
-            if q_text not in reads_after[position]:
-                if en_text is None:
-                    out.append((base, f"{q_text} = {d_text}"))
-                else:
-                    out.append((base, f"{q_text} = {d_text} "
-                                      f"if {en_text} else {q_text}"))
-                continue
-            if en_text is None:
-                out.append((base, f"_q{temp} = {d_text}"))
-            else:
-                out.append(
-                    (base, f"_q{temp} = {d_text} if {en_text} else {q_text}"))
-            commits.append((base, f"{q_text} = _q{temp}"))
-            temp += 1
-        for write_lines, _mem_key, _read_tokens in writes:
-            out.extend((base + rel, text) for rel, text in write_lines)
-        if ir.dynamic:
-            if loop_guard:
-                # snapshot the status values the transition would read
-                # (register commits below may clobber the live locals);
-                # the caller tests the loop guard on the snapshot and
-                # reconstructs _e once, at trace exit
-                for position, token in enumerate(ir.env_tokens):
-                    out.append((base, f"_g{position} = {token}"))
-            else:
-                out.append((base, f"_e = _t{ir.index}({ir.env_text})"))
-                out.append((base, f"if _e != {ir.name!r}:"))
-                out.append((base + 1, "_nt += 1"))
-                if instrumented:
-                    out.append((base, "s = _sid[_e]"))
-                    out.append((base, f"tc[{ir.index * n_states} + s] += 1"))
-        out.extend(commits)
-    return out
-
-
 class FusionPlan:
-    """What :func:`repro.sim.compiled._build_program` splices in."""
+    """What :func:`repro.sim.compiled._generate` splices in."""
 
     __slots__ = ("prelude", "entry", "dispatch", "summary")
 
@@ -559,8 +458,8 @@ class FusionPlan:
 
 
 def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
-                 statuses, settle_blocks, instrumented,
-                 n_states, profiled=False) -> Optional[FusionPlan]:
+                 statuses, instrumented, n_states,
+                 profiled=False) -> Optional[FusionPlan]:
     """Detect traces and render the fused dispatch blocks.
 
     Returns ``None`` when nothing fuses (the generated source is then
@@ -571,7 +470,9 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
     ``n_states + 2j + 1``) — one clock read per trace entry and exit,
     so the hot fused iterations stay instrumentation-free.
     """
-    traces = _find_traces(names, sid, static_target, dynamic_fns, statuses)
+    pinned = [ir.name for ir in state_ir if ir.flip is not None]
+    traces = _find_traces(names, sid, static_target, dynamic_fns, statuses,
+                          pinned)
     if not traces:
         return None
 
@@ -579,9 +480,14 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
     trace_summaries: List[dict] = []
     ir_of = {ir.name: ir for ir in state_ir}
 
+    def render(segments, records, mode, **options) -> List[tuple]:
+        return _render_segments(segments, records, mode=mode,
+                                instrumented=instrumented,
+                                n_states=n_states, **options)
+
     def plain_settle(state_index: int, base: int) -> List[Tuple[int, str]]:
-        return [(base + rel, text)
-                for rel, text in settle_blocks[state_index]]
+        return _render(render([("settle", state_ir[state_index])], [None],
+                              "plain"), base)
 
     for j, (kind, chain, extra) in enumerate(traces):
         chain_idx = [sid[name] for name in chain]
@@ -644,14 +550,12 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
             # directly; dropped copies are replayed once at trace exit
             dropped, resolved = _copy_aliases(chain, ir_of)
             if resolved:
-                pattern = re.compile(
-                    r"\b(?:%s)\b" % "|".join(map(re.escape, resolved)))
                 render_ir = {name: _substitute_ir(ir_of[name], resolved,
-                                                  pattern, dropped)
+                                                  dropped)
                              for name in set(chain)}
             else:
                 render_ir = ir_of
-            repair = [f"{out} = {root}"
+            repair = [(out, "{0}", (root,))
                       for out, root in sorted(resolved.items())]
 
             # peel: one full iteration from an all-dirty entry; steady
@@ -721,42 +625,27 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
             # hoisted), so the trip budget is a single division
             body.append((1, f"_lim = (max_cycles - n) // {span}"))
             body.append((1, "try:"))
-            body.extend(_render_segments(peel_render, peel_rec, 2,
-                                         instrumented=instrumented,
-                                         n_states=n_states,
-                                         loop_guard=guarded))
+            mode = "guard" if guarded else "fused"
+            body.extend(_render(render(peel_render, peel_rec, mode), 2))
             body.append((2, "_i = 1"))
-            full = _render_segments(body_render, unions, 0,
-                                    instrumented=instrumented,
-                                    n_states=n_states,
-                                    loop_guard=guarded)
+            full = render(body_render, unions, mode)
             # dynamic write-enables that are loop-invariant (their value
             # never assigned inside the steady body) select, once per
             # trace entry, a slim loop variant with those guarded write
             # blocks dropped — the hot read-phase iterations skip every
             # dead `if we:` test
-            we_tokens = {entry[2][2]
-                         for name in set(chain)
-                         for entry in render_ir[name].sram_writes
-                         if len(entry[2]) == 3}
-            assigned = set()
-            for _rel, text in full:
-                target = text.split(" = ", 1)[0]
-                if target.isidentifier():
-                    assigned.add(target)
-            invariant = sorted(we_tokens - assigned)
-            slim = _render_segments(body_render, unions, 0,
-                                    instrumented=instrumented,
-                                    n_states=n_states,
-                                    loop_guard=guarded,
-                                    drop_we=frozenset(invariant)
-                                    ) if invariant else None
+            we_tokens = {we for name in set(chain)
+                         for _key, _stmt, we in render_ir[name].sram_writes
+                         if we is not None}
+            invariant = sorted(we_tokens - {stmt[0] for stmt in full})
+            slim = render(body_render, unions, mode,
+                          drop_we=frozenset(invariant)) if invariant else None
             # copy propagation: register rename chains re-executed on
             # every iteration defer until loop exit (the slim variant's
             # dropped write blocks assign no locals, so both variants
             # must agree on the surviving pendings to share one repair)
             eliminated = 0
-            exit_stores: List[str] = []
+            exit_stores: List[tuple] = []
             opt_full = _propagate_copies(full)
             if opt_full is not None:
                 if slim is None:
@@ -772,25 +661,25 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
             if invariant:
                 body.append((2, f"if {' or '.join(invariant)}:"))
                 body.append((3, f"while {guard} and _i < _lim:"))
-                body.extend((4 + rel, text) for rel, text in full)
+                body.extend(_render(full, 4))
                 body.append((4, "_i += 1"))
                 body.append((2, "else:"))
                 body.append((3, f"while {guard} and _i < _lim:"))
-                body.extend((4 + rel, text) for rel, text in slim)
+                body.extend(_render(slim, 4))
                 body.append((4, "_i += 1"))
             else:
                 body.append((2, f"while {guard} and _i < _lim:"))
-                body.extend((3 + rel, text) for rel, text in full)
+                body.extend(_render(full, 3))
                 body.append((3, "_i += 1"))
             # an emitted op may raise (strict divider, OOB write); the
             # completed-iteration accounting must land before unwinding,
             # and forwarded locals must be repaired on every way out
             body.append((1, "except BaseException:"))
-            body.extend((2, text)
-                        for text in repair + accounting + dyn_except)
+            body.extend(_render(repair, 2))
+            body.extend((2, text) for text in accounting + dyn_except)
             body.append((2, "raise"))
-            body.extend((1, text)
-                        for text in repair + accounting + dyn_normal)
+            body.extend(_render(repair, 1))
+            body.extend((1, text) for text in accounting + dyn_normal)
             if guarded:
                 env = ", ".join(f"{name!r}: _g{k}"
                                 for k, name in enumerate(status_names))
@@ -839,9 +728,7 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
                             f"and n + {span} <= max_cycles:"))
             if profiled:
                 body.append((1, "_pt = _pc()"))
-            body.extend(_render_segments(segs, record, 1,
-                                         instrumented=instrumented,
-                                         n_states=n_states))
+            body.extend(_render(render(segs, record, "fused"), 1))
             body.append((1, f"n += {span}"))
             for index in chain_idx:
                 body.append((1, f"counts[{index}] += 1"))

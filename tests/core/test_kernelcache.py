@@ -85,6 +85,49 @@ class TestCacheLayers:
         assert default_cache() is not cache
 
 
+class TestKernelRebind:
+    """A fresh build and a cache hit bind through the same function, so
+    the programs they produce must agree field for field."""
+
+    FIELDS = ("names", "eval_static", "edge_static", "state_active_ops",
+              "fusion", "source")
+
+    @staticmethod
+    def _program(design, backend):
+        from repro.core import prepare_images
+        from repro.translate import build_simulation
+
+        config = design.configurations[0]
+        sim_design = build_simulation(config.datapath, config.fsm,
+                                      prepare_images(design),
+                                      backend=backend)
+        program = sim_design.sim._ensure_program()
+        assert program is not None, sim_design.sim.fallback_reason
+        return program
+
+    @pytest.mark.parametrize("backend", ["compiled", "traced"])
+    @pytest.mark.parametrize("app", ["fdct1", "hamming"])
+    def test_fresh_and_rebound_programs_agree(self, tmp_path, app, backend):
+        from repro.apps import suite_case
+
+        design = suite_case(app).compile()
+        previous = set_default_cache(KernelCache(tmp_path / "kernels"))
+        try:
+            fresh = self._program(design, backend)
+            assert default_cache().misses >= 1
+            # a new cache on the same directory: the hit comes from disk
+            set_default_cache(KernelCache(tmp_path / "kernels"))
+            rebound = self._program(design, backend)
+            assert default_cache().disk_hits >= 1
+            assert default_cache().misses == 0
+        finally:
+            set_default_cache(previous)
+        assert rebound is not fresh
+        for field in self.FIELDS:
+            assert getattr(rebound, field) == getattr(fresh, field), field
+        assert (fresh.fusion is not None) == (backend == "traced")
+
+
 class TestDigests:
     def test_digest_parts_is_order_sensitive(self):
         assert digest_parts("a", "b") != digest_parts("b", "a")

@@ -1,5 +1,7 @@
 """Tests for fault attachment: kernel specs, watchers, cycle hooks."""
 
+import os
+
 import pytest
 
 from repro.apps import suite_case
@@ -17,6 +19,13 @@ def case():
 @pytest.fixture(scope="module")
 def design(case):
     return case.compile()
+
+
+@pytest.fixture(scope="module")
+def fdct1():
+    """fdct1 at 64 pixels and its compiled design: fused MAC loops."""
+    fdct1_case = suite_case("fdct1", pixels=64)
+    return fdct1_case, fdct1_case.compile()
 
 
 def _elaborate(design, backend):
@@ -124,7 +133,8 @@ class TestMechanisms:
 
 
 class TestEquivalence:
-    def test_event_and_compiled_agree_on_signal_faults(self, design, case):
+    @staticmethod
+    def _assert_agrees_with_event(design, case, backend):
         """The two mechanisms must be observationally identical: same
         fault, same stimulus => same verdict and same cycle count."""
         baseline = run_injection(design, case.func, None,
@@ -134,13 +144,98 @@ class TestEquivalence:
             .generate(6, kinds=("stuck", "reg_flip"))
         budget = max(baseline.cycles * 4, 1000)
         for fault in faults:
-            compiled = run_injection(design, case.func, fault,
-                                     backend="compiled", max_cycles=budget)
+            kernel = run_injection(design, case.func, fault,
+                                   backend=backend, max_cycles=budget)
             event = run_injection(design, case.func, fault,
                                   backend="event", max_cycles=budget)
-            assert compiled.verdict == event.verdict, fault.describe()
-            if compiled.verdict in ("masked", "sdc"):
-                assert compiled.cycles == event.cycles, fault.describe()
+            assert kernel.mechanism == "kernel", fault.describe()
+            assert kernel.verdict == event.verdict, fault.describe()
+            if kernel.verdict in ("masked", "sdc"):
+                assert kernel.cycles == event.cycles, fault.describe()
+
+    def test_event_and_compiled_agree_on_signal_faults(self, design, case):
+        self._assert_agrees_with_event(design, case, "compiled")
+
+    def test_event_and_traced_agree_on_signal_faults(self, design, case):
+        self._assert_agrees_with_event(design, case, "traced")
+
+    def test_an_armed_stuck_at_keeps_fusion(self, fdct1):
+        """A stuck-at is an IR entry like any other, so the traced
+        kernel keeps its fused loops with the fault armed."""
+        _fdct1_case, fdct1_design = fdct1
+        sim_design = _elaborate(fdct1_design, "traced")
+        target = output_adjacent_nets(fdct1_design)[0]
+        fault = FaultDescriptor(fault_id="s", kind="stuck", target=target,
+                                bit=0, stuck_value=1)
+        with attach_fault(sim_design, fault) as handle:
+            assert handle.mechanism == "kernel"
+            report = sim_design.sim.fusion_report()
+            assert report is not None
+            assert any(trace["kind"] == "loop"
+                       for trace in report["traces"]), report
+
+
+class TestFusedStuckAt:
+    """Stuck-at faults inside fdct1's fused loops: on register outputs
+    (a force after the commit) and on an op output (a force after the
+    op) the traced kernel must give the event kernel's result."""
+
+    @pytest.mark.parametrize("net, bit, value", [
+        ("n_rt84_q", 26, 0), ("n_r_t3_q", 2, 1), ("n_rt12_q", 16, 1),
+        ("n_tr_img_out_y", 0, 1),
+    ])
+    def test_traced_matches_event(self, fdct1, net, bit, value):
+        fdct1_case, fdct1_design = fdct1
+        fault = FaultDescriptor(fault_id=f"{net}[{bit}]", kind="stuck",
+                                target=net, bit=bit, stuck_value=value)
+        seen = {backend: run_injection(fdct1_design, fdct1_case.func, fault,
+                                       fdct1_case.inputs(0), backend=backend,
+                                       max_cycles=5_000)
+                for backend in ("event", "traced")}
+        assert seen["traced"].mechanism == "kernel"
+        outcomes = {backend: (result.verdict, result.cycles, result.note)
+                    for backend, result in seen.items()}
+        assert len(set(outcomes.values())) == 1, outcomes
+        assert outcomes["event"][0] != "masked", outcomes
+
+
+#: the layer benchmark's fault-campaign pool (FaultloadGenerator seed,
+#: size and kinds); tier-1 checks threshold's, the CI fault-smoke job
+#: sets REPRO_INJECT_POOLS_FULL=1 to add fdct1's and hamming's
+_POOL_SEED, _POOL_SIZE = 2005, 240
+_POOL_APPS = ("threshold",) + (
+    ("fdct1", "hamming")
+    if os.environ.get("REPRO_INJECT_POOLS_FULL") == "1" else ())
+
+
+class TestInjectPoolParity:
+    @pytest.mark.parametrize("app", _POOL_APPS)
+    def test_every_kernel_agrees_on_the_pool(self, app):
+        """Every stuck/reg_flip fault of the pool: event, compiled and
+        traced (with fusion kept) give one verdict, cycle count and
+        first mismatching word."""
+        pool_case = suite_case(app)
+        pool_design = pool_case.compile()
+        inputs = pool_case.inputs(0)
+        faults = [fault for fault in FaultloadGenerator(
+                      pool_design, seed=_POOL_SEED).generate(
+                      _POOL_SIZE, kinds=("stuck", "reg_flip", "mem_flip"))
+                  if fault.kind in ("stuck", "reg_flip")]
+        assert faults
+        baseline = run_injection(pool_design, pool_case.func, None, inputs,
+                                 backend="event")
+        budget = max(baseline.cycles * 4, 1000)
+        for fault in faults:
+            seen = {
+                backend: run_injection(pool_design, pool_case.func, fault,
+                                       inputs, backend=backend,
+                                       max_cycles=budget)
+                for backend in ("event", "compiled", "traced")}
+            outcomes = {backend: (result.verdict, result.cycles,
+                                  result.note)
+                        for backend, result in seen.items()}
+            assert len(set(outcomes.values())) == 1, \
+                (fault.describe(), outcomes)
 
 
 class TestConstantNetStuckAt:
@@ -165,6 +260,7 @@ class TestConstantNetStuckAt:
                                        backend=backend, max_cycles=20_000)
                 for backend in ("event", "compiled", "traced")}
             assert outcomes["compiled"].mechanism == "kernel"
+            assert outcomes["traced"].mechanism == "kernel"
             seen = {backend: (result.verdict, result.cycles)
                     for backend, result in outcomes.items()}
             assert len(set(seen.values())) == 1, (fault.describe(), seen)

@@ -168,3 +168,75 @@ class TestFactory:
         sim = create_simulator("traced")
         assert type(sim) is TracedSimulator
         assert isinstance(sim, CompiledSimulator)
+
+
+class TestTokenPasses:
+    """The fusion passes rewrite statement tokens, never generated text."""
+
+    def test_forwarding_rewrites_exact_tokens_only(self):
+        from repro.sim.compiled import _render, _StateIR
+        from repro.sim.trace import _copy_aliases, _substitute_ir
+
+        ir = _StateIR(0, "S0")
+        ir.settle_ops = [
+            (1, 11, (7,), ("v1", "{0}", ("v7",))),  # pass-through copy
+            (2, 12, (1, 12), ("v3", "{0} + _v1 + {1} + {2}",
+                              ("v1", "v12", "1"))),
+        ]
+        ir.samples = [(3, 1, "v1", None, "v4", 14)]
+        dropped, resolved = _copy_aliases(["S0"], {"S0": ir})
+        assert resolved == {"v1": "v7"} and dropped == {1}
+        clone = _substitute_ir(ir, resolved, dropped)
+        assert _render([stmt for *_keys, stmt in clone.settle_ops], 0) == \
+            [(0, "v3 = v7 + _v1 + v12 + 1")]
+        assert clone.samples[0][2] == "v7"
+        # the analysis keeps reading the original IR
+        assert ir.settle_ops[1][3][2] == ("v1", "v12", "1")
+
+    def test_forwarding_skips_a_forced_net(self):
+        """A stuck-at force is a second writer of its net, so the copy
+        driving that net must not be forwarded past it."""
+        from repro.sim.compiled import _StateIR
+        from repro.sim.trace import _copy_aliases
+
+        ir = _StateIR(0, "S0")
+        ir.settle_ops = [
+            (1, 11, (7,), ("v1", "{0}", ("v7",))),
+            (11, 11, (11,), ("v1", "({0} & _fa) | _fo", ("v1",))),
+        ]
+        assert _copy_aliases(["S0"], {"S0": ir}) == (set(), {})
+
+    def test_copy_propagation_never_defers_kernel_temps(self):
+        from repro.sim.compiled import _render
+        from repro.sim.trace import _propagate_copies
+
+        body = [("_g0", "{0}", ("v5",)), ("_q0", "{0}", ("v6",)),
+                ("_e", "{0}", ("v7",)), ("_i", "{0}", ("v8",)),
+                ("v9", "{0}", ("v10",)), ("v11", "{0} + 1", ("v9",))]
+        new_body, exit_stores = _propagate_copies(body)
+        assert _render(new_body, 0) == [
+            (0, "_g0 = v5"), (0, "_q0 = v6"), (0, "_e = v7"),
+            (0, "_i = v8"), (0, "v11 = v10 + 1")]
+        assert _render(exit_stores, 0) == [(0, "v9 = v10")]
+
+    def test_unguarded_loop_still_propagates_copies(self, monkeypatch):
+        """A loop whose exit test calls the transition function keeps
+        its ``if _e != 'name':`` line in the body; copy propagation must
+        still run there and the result stay bit-identical."""
+        import repro.sim.trace as trace
+        from repro.core.kernelcache import KernelCache
+
+        monkeypatch.setattr(trace, "_guard_combos", lambda *args: None)
+        # the cache key cannot see the patch: keep other kernels out
+        monkeypatch.setattr("repro.core.kernelcache._default",
+                            KernelCache(None))
+        ref, dut = _build_pair()
+        dut.sim.enable_coverage()
+        assert ref.run_to_done() == dut.run_to_done()
+        _assert_identical(ref, dut)
+        assert sum(dut.sim.transition_visits.values()) == \
+            ref.controller.transitions
+        loops = [trace for trace in dut.sim.fusion_report()["traces"]
+                 if trace["kind"] == "loop"]
+        assert loops and not any(loop["guarded"] for loop in loops)
+        assert all(loop["eliminated_stores"] > 0 for loop in loops), loops

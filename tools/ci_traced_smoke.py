@@ -1,18 +1,24 @@
 """CI bench-smoke for the trace-fusing kernel.
 
-Two gates, cheap enough for every push:
+Three gates, cheap enough for every push:
 
 1. **Differential** — every registered app, compiled vs traced, must
    produce identical cycle counts and memory contents.  On any
    mismatch the generated (fused) kernel source for the offending
    design is written under ``fused-kernels/`` so the CI artifact
    upload captures exactly the code that diverged.
-2. **Performance** — on fdct1 (the acceptance anchor) the traced
+2. **Fault** — one stuck-at on an fdct1 output-adjacent net, armed in
+   both kernels: identical cycles and memories, and the traced kernel
+   keeps its fused traces.  On a mismatch both kernels' sources are
+   dumped under ``fused-kernels/``.
+3. **Performance** — on fdct1 (the acceptance anchor) the traced
    kernel must be at least as fast as the compiled kernel,
    min-over-repeats of interleaved runs so host noise cannot flip the
    comparison.  Locally the ratio is ~2x; the gate only asserts >= 1.
 
-Exit status 0 = both gates pass.
+Exit status 0 = every gate passes.  Run it twice against one
+``REPRO_KERNEL_CACHE`` directory and the second run checks kernels
+rebound from the cache instead of freshly generated ones.
 """
 
 import sys
@@ -20,6 +26,7 @@ from pathlib import Path
 
 from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import prepare_images, verify_design
+from repro.inject import FaultDescriptor, attach_fault, output_adjacent_nets
 from repro.rtg import ReconfigurationContext, RtgExecutor
 
 SMALL_SIZES = {
@@ -33,6 +40,8 @@ SMALL_SIZES = {
     "popcount": {"n_words": 16},
 }
 
+FAULT_CASE = "fdct1"
+
 PERF_CASE = "fdct1"
 PERF_SIZE = {"pixels": 8192}
 PERF_REPEATS = 3
@@ -40,18 +49,24 @@ PERF_REPEATS = 3
 DUMP_DIR = Path("fused-kernels")
 
 
-def _execute(design, inputs, backend, sims):
+def _execute(design, inputs, backend, sims, fault=None):
     images = prepare_images(design, inputs)
     context = ReconfigurationContext.from_rtg(design.rtg, initial=images)
     executor = RtgExecutor(design.rtg, context, backend=backend)
-    executor.on_configure = lambda d: sims.append(d.sim)
+
+    def configure(sim_design):
+        if fault is not None:
+            attach_fault(sim_design, fault)
+        sims.append(sim_design.sim)
+
+    executor.on_configure = configure
     result = executor.run()
     memories = {name: tuple(context.memory(name).words())
                 for name in context.memories}
     return result.total_cycles, memories
 
 
-def _dump_fused_sources(name, sims):
+def _dump_sources(name, sims, backend="traced"):
     DUMP_DIR.mkdir(exist_ok=True)
     for index, sim in enumerate(sims):
         program = getattr(sim, "_program", None)
@@ -59,9 +74,9 @@ def _dump_fused_sources(name, sims):
         if source is None:
             source = f"# no generated program (fallback: " \
                      f"{getattr(sim, 'fallback_reason', None)})\n"
-        path = DUMP_DIR / f"{name}_cfg{index}_traced.py"
+        path = DUMP_DIR / f"{name}_cfg{index}_{backend}.py"
         path.write_text(source)
-        print(f"  fused kernel source -> {path}")
+        print(f"  {backend} kernel source -> {path}")
 
 
 def differential_gate():
@@ -80,8 +95,32 @@ def differential_gate():
         failed.append(name)
         print(f"[FAIL] {name}: compiled/traced diverge "
               f"(cycles {compiled[0]} vs {traced[0]})")
-        _dump_fused_sources(name, traced_sims)
+        _dump_sources(name, traced_sims)
     return failed
+
+
+def fault_gate():
+    case = suite_case(FAULT_CASE, **SMALL_SIZES[FAULT_CASE])
+    design = case.compile()
+    inputs = case.inputs(0)
+    fault = FaultDescriptor(fault_id="smoke", kind="stuck",
+                            target=output_adjacent_nets(design)[0],
+                            bit=0, stuck_value=1)
+    compiled_sims, traced_sims = [], []
+    compiled = _execute(design, inputs, "compiled", compiled_sims, fault)
+    traced = _execute(design, inputs, "traced", traced_sims, fault)
+    fused = all(sim.fusion_report() is not None for sim in traced_sims)
+    if compiled == traced and fused:
+        print(f"[ok]   {FAULT_CASE} {fault.describe()}: {compiled[0]} "
+              f"cycles, memories identical, fusion kept")
+        return True
+    print(f"[FAIL] {FAULT_CASE} {fault.describe()}: cycles {compiled[0]} "
+          f"vs {traced[0]}, memories "
+          f"{'identical' if compiled[1] == traced[1] else 'differ'}, "
+          f"fusion {'kept' if fused else 'lost'}")
+    _dump_sources(f"{FAULT_CASE}_stuck", compiled_sims, "compiled")
+    _dump_sources(f"{FAULT_CASE}_stuck", traced_sims, "traced")
+    return False
 
 
 def perf_gate():
@@ -109,11 +148,14 @@ def main() -> int:
     if failed:
         print(f"differential gate FAILED: {failed}")
         return 1
+    if not fault_gate():
+        print(f"fault gate FAILED on {FAULT_CASE}")
+        return 1
     if not perf_gate():
         print("perf gate FAILED: traced slower than compiled on "
               f"{PERF_CASE}")
         return 1
-    print("traced smoke: both gates passed")
+    print("traced smoke: all gates passed")
     return 0
 
 
