@@ -712,21 +712,20 @@ def _triage_fuzz_mismatch(entry, basename: str, out_dir: str,
     Triage is diagnostics, not a verdict: a triage crash must never turn
     a recorded reproducer into a CLI failure, so everything is caught.
     """
-    import time
-
+    from .obs.trace import span
     from .obs.triage import TriageError, triage_fuzz_entry
 
-    start = time.monotonic()
-    try:
-        result = triage_fuzz_entry(entry)
-    except TriageError as exc:
-        print(f"  triage: skipped ({exc})")
-        return
-    except Exception as exc:  # noqa: BLE001 - diagnostics stay best-effort
-        print(f"  triage: failed ({type(exc).__name__}: {exc})")
-        return
+    with span("triage.run", "triage", target=basename) as run:
+        try:
+            result = triage_fuzz_entry(entry)
+        except TriageError as exc:
+            print(f"  triage: skipped ({exc})")
+            return
+        except Exception as exc:  # noqa: BLE001 - diagnostics best-effort
+            print(f"  triage: failed ({type(exc).__name__}: {exc})")
+            return
     _write_triage(result, f"{basename}-triage", out_dir, ledger,
-                  wall_seconds=time.monotonic() - start)
+                  wall_seconds=run.seconds)
 
 
 def _cmd_fuzz(args) -> int:
@@ -926,8 +925,8 @@ def _triage_campaign_sdc(report, design, func, inputs, args,
     fails the campaign.
     """
     import random
-    import time
 
+    from .obs.trace import span
     from .obs.triage import TriageError, triage_fault
 
     sdc = report.sdc_results
@@ -940,21 +939,21 @@ def _triage_campaign_sdc(report, design, func, inputs, args,
           f"(seed {args.seed})")
     for result in picks:
         fault = result.fault
-        start = time.monotonic()
-        try:
-            triaged = triage_fault(design, func, fault, inputs,
-                                   backend=backend, app=args.case,
-                                   kind="campaign-sdc")
-        except TriageError as exc:
-            print(f"  triage: {fault.fault_id} skipped ({exc})")
-            continue
-        except Exception as exc:  # noqa: BLE001 - diagnostics only
-            print(f"  triage: {fault.fault_id} failed "
-                  f"({type(exc).__name__}: {exc})")
-            continue
+        with span("triage.run", "triage", target=args.case,
+                  fault=fault.fault_id) as run:
+            try:
+                triaged = triage_fault(design, func, fault, inputs,
+                                       backend=backend, app=args.case,
+                                       kind="campaign-sdc")
+            except TriageError as exc:
+                print(f"  triage: {fault.fault_id} skipped ({exc})")
+                continue
+            except Exception as exc:  # noqa: BLE001 - diagnostics only
+                print(f"  triage: {fault.fault_id} failed "
+                      f"({type(exc).__name__}: {exc})")
+                continue
         _write_triage(triaged, f"{args.case}-{fault.fault_id}",
-                      args.triage_out, ledger,
-                      wall_seconds=time.monotonic() - start)
+                      args.triage_out, ledger, wall_seconds=run.seconds)
 
 
 def _cmd_campaign(args) -> int:
@@ -1065,69 +1064,67 @@ def _fault_from_ledger(ledger, args):
 
 
 def _cmd_triage(args) -> int:
-    import time
-
     from .obs.ledger import ledger_from_env
+    from .obs.trace import span
     from .obs.triage import (TriageError, triage_backends, triage_fault,
                              triage_fuzz_entry)
 
-    start = time.monotonic()
     target = args.target
     ledger = ledger_from_env(args.ledger)
     try:
-        try:
-            if target.endswith(".py"):
-                if not Path(target).exists():
-                    print(f"error: no corpus reproducer at {target}",
-                          file=sys.stderr)
-                    return 2
-                from .fuzz import load_entry
+        with span("triage.run", "triage", target=target) as run:
+            try:
+                if target.endswith(".py"):
+                    if not Path(target).exists():
+                        print(f"error: no corpus reproducer at {target}",
+                              file=sys.stderr)
+                        return 2
+                    from .fuzz import load_entry
 
-                entry = load_entry(target)
-                result = triage_fuzz_entry(entry, window=args.window,
-                                           stride=args.stride,
-                                           max_cycles=args.max_cycles)
-                basename = f"{Path(target).stem}-triage"
-            else:
-                compiled = _compile_injectable(target, args.seed)
-                if compiled is None:
-                    return 2
-                case, design, inputs = compiled
-                fault = None
-                if args.run is not None:
-                    fault = _fault_from_ledger(ledger, args)
-                    if fault is None:
-                        return 2
-                elif args.fault:
-                    fault = _fault_from_file(args.fault)
-                    if fault is None:
-                        return 2
-                if fault is not None:
-                    result = triage_fault(
-                        design, case.func, fault, inputs,
-                        backend=args.backend, window=args.window,
-                        stride=args.stride, max_cycles=args.max_cycles,
-                        app=target)
-                    basename = f"{target}-{fault.fault_id}"
-                elif args.against:
-                    result = triage_backends(
-                        design, inputs, backend_ref=args.against,
-                        backend_sub=args.backend, window=args.window,
-                        stride=args.stride, max_cycles=args.max_cycles,
-                        app=target)
-                    basename = f"{target}-{args.against}" \
-                               f"-vs-{args.backend}"
+                    entry = load_entry(target)
+                    result = triage_fuzz_entry(entry, window=args.window,
+                                               stride=args.stride,
+                                               max_cycles=args.max_cycles)
+                    basename = f"{Path(target).stem}-triage"
                 else:
-                    print("error: pick a failing pair: --fault "
-                          "FILE[:ID], --run ID, or --against BACKEND",
-                          file=sys.stderr)
-                    return 2
-        except TriageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+                    compiled = _compile_injectable(target, args.seed)
+                    if compiled is None:
+                        return 2
+                    case, design, inputs = compiled
+                    fault = None
+                    if args.run is not None:
+                        fault = _fault_from_ledger(ledger, args)
+                        if fault is None:
+                            return 2
+                    elif args.fault:
+                        fault = _fault_from_file(args.fault)
+                        if fault is None:
+                            return 2
+                    if fault is not None:
+                        result = triage_fault(
+                            design, case.func, fault, inputs,
+                            backend=args.backend, window=args.window,
+                            stride=args.stride, max_cycles=args.max_cycles,
+                            app=target)
+                        basename = f"{target}-{fault.fault_id}"
+                    elif args.against:
+                        result = triage_backends(
+                            design, inputs, backend_ref=args.against,
+                            backend_sub=args.backend, window=args.window,
+                            stride=args.stride, max_cycles=args.max_cycles,
+                            app=target)
+                        basename = f"{target}-{args.against}" \
+                                   f"-vs-{args.backend}"
+                    else:
+                        print("error: pick a failing pair: --fault "
+                              "FILE[:ID], --run ID, or --against BACKEND",
+                              file=sys.stderr)
+                        return 2
+            except TriageError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
         _write_triage(result, basename, args.out, ledger,
-                      wall_seconds=time.monotonic() - start,
-                      html=not args.no_html)
+                      wall_seconds=run.seconds, html=not args.no_html)
     finally:
         if ledger is not None:
             ledger.close()

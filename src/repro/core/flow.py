@@ -19,7 +19,6 @@ does (compiler output files in, verdict out).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
@@ -91,14 +90,12 @@ class Flow:
     def run(self, context: Optional[Dict[str, Any]] = None) -> FlowReport:
         report = FlowReport(context=dict(context or {}))
         for stage in self.stages:
-            started = time.perf_counter()
             with span(f"flow.{stage.name}", "flow") as timing:
                 detail = stage.action(report.context)
                 if detail is not None:
                     timing.set("detail", str(detail))
-            seconds = time.perf_counter() - started
             report.stages.append(StageResult(
-                stage.name, seconds,
+                stage.name, timing.seconds,
                 detail="" if detail is None else str(detail),
             ))
         return report

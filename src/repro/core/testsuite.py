@@ -11,7 +11,6 @@ metrics.
 from __future__ import annotations
 
 import multiprocessing
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -149,12 +148,12 @@ def run_case(case: SuiteCase, *, seed: int, fsm_mode: str = "generated",
     and returns a result whose verification quacks like a
     :class:`~repro.core.verification.BatchVerificationResult`.
     """
-    started = time.perf_counter()
-    case_span = span("suite.case", "suite", case=case.name, backend=backend)
-    with case_span:
+    with span("suite.case", "suite", case=case.name,
+              backend=backend) as case_span:
+        compile_span = span("suite.compile", "suite", case=case.name)
         try:
-            design = case.compile()
-            compile_seconds = time.perf_counter() - started
+            with compile_span:
+                design = case.compile()
             if batch > 1:
                 if case.inputs is None:
                     raise ValueError(
@@ -186,11 +185,11 @@ def run_case(case: SuiteCase, *, seed: int, fsm_mode: str = "generated",
             )
             case_span.set("passed", verification.passed)
             return CaseResult(case.name, verification, metrics,
-                              compile_seconds)
+                              compile_span.seconds)
         except Exception as exc:  # noqa: BLE001 - suite must report
             case_span.set("error", str(exc))
-            return CaseResult(case.name, None, None,
-                              time.perf_counter() - started, error=str(exc),
+            return CaseResult(case.name, None, None, compile_span.seconds,
+                              error=str(exc),
                               traceback=traceback.format_exc())
 
 
@@ -289,32 +288,29 @@ class TestSuite:
         if isinstance(cache, (str, Path)):
             cache = ArtifactCache(cache)
         report = SuiteReport(backend=backend, jobs=jobs)
-        suite_started = time.perf_counter()
+        with span("suite.run", "suite", suite=self.name, backend=backend,
+                  jobs=jobs, cases=len(self.cases)) as run_span:
+            keys: List[Optional[str]] = [None] * len(self.cases)
+            slots: List[Optional[CaseResult]] = [None] * len(self.cases)
+            pending: List[int] = []
+            for index, case in enumerate(self.cases):
+                if cache is not None:
+                    key = cache.key_for(case, seed=seed, fsm_mode=fsm_mode,
+                                        backend=backend, coverage=coverage,
+                                        batch=batch)
+                    keys[index] = key
+                    hit = cache.load(key)
+                    if hit is not None:
+                        slots[index] = hit
+                        report.cache_hits += 1
+                        continue
+                pending.append(index)
 
-        keys: List[Optional[str]] = [None] * len(self.cases)
-        slots: List[Optional[CaseResult]] = [None] * len(self.cases)
-        pending: List[int] = []
-        for index, case in enumerate(self.cases):
-            if cache is not None:
-                key = cache.key_for(case, seed=seed, fsm_mode=fsm_mode,
-                                    backend=backend, coverage=coverage,
-                                    batch=batch)
-                keys[index] = key
-                hit = cache.load(key)
-                if hit is not None:
-                    slots[index] = hit
-                    report.cache_hits += 1
-                    continue
-            pending.append(index)
-
-        parallel = (
-            jobs > 1 and len(pending) > 1 and not stop_on_failure
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-        run_span = span("suite.run", "suite", suite=self.name,
-                        backend=backend, jobs=jobs, cases=len(self.cases),
-                        cached=report.cache_hits)
-        with run_span:
+            parallel = (
+                jobs > 1 and len(pending) > 1 and not stop_on_failure
+                and "fork" in multiprocessing.get_all_start_methods()
+            )
+            run_span.set("cached", report.cache_hits)
             if parallel:
                 global _ACTIVE_SUITE
                 _ACTIVE_SUITE = self
@@ -355,27 +351,27 @@ class TestSuite:
                     if stop_on_failure and not slots[index].passed:
                         break
 
-        if cache is not None:
-            for index in pending:
-                if slots[index] is not None:
-                    cache.store(keys[index], slots[index])
-            report.cache_misses = cache.misses
+            if cache is not None:
+                for index in pending:
+                    if slots[index] is not None:
+                        cache.store(keys[index], slots[index])
+                report.cache_misses = cache.misses
 
-        # preserve case order; under stop_on_failure, truncate at the
-        # first case that never ran (matching the historical serial
-        # semantics of "cases after the failure are absent")
-        for result in slots:
-            if result is None:
-                break
-            report.results.append(result)
-        if coverage:
-            merged = CoverageReport()
-            for result in report.results:
-                if result.verification is not None \
-                        and result.verification.coverage is not None:
-                    merged.merge(result.verification.coverage)
-            report.coverage = merged
-        report.wall_seconds = time.perf_counter() - suite_started
+            # preserve case order; under stop_on_failure, truncate at the
+            # first case that never ran (matching the historical serial
+            # semantics of "cases after the failure are absent")
+            for result in slots:
+                if result is None:
+                    break
+                report.results.append(result)
+            if coverage:
+                merged = CoverageReport()
+                for result in report.results:
+                    if result.verification is not None \
+                            and result.verification.coverage is not None:
+                        merged.merge(result.verification.coverage)
+                report.coverage = merged
+        report.wall_seconds = run_span.seconds
 
         if ledger is not None:
             from ..obs.ledger import ledger_sink

@@ -9,7 +9,6 @@ up as a concrete address/expected/actual triple.
 
 from __future__ import annotations
 
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
@@ -182,10 +181,8 @@ def verify_design(design: Design, func: Callable,
     array_specs = {name: spec for name, spec in design.arrays.items()
                    if name != SPILL_MEMORY}
 
-    started = time.perf_counter()
-    with span("verify.golden", "verify", design=design.name):
+    with span("verify.golden", "verify", design=design.name) as golden:
         golden_images = golden_result(design, func, base_images)
-    golden_seconds = time.perf_counter() - started
 
     collector = CoverageCollector() if coverage else None
     context = ReconfigurationContext.from_rtg(design.rtg,
@@ -195,9 +192,8 @@ def verify_design(design: Design, func: Callable,
                            max_cycles_per_configuration=max_cycles,
                            trace_dir=trace_dir, coverage=collector)
     probe_samples: Dict[str, List[Tuple[int, int]]] = {}
-    started = time.perf_counter()
     with span("verify.simulate", "verify", design=design.name,
-              backend=backend), ExitStack() as probes:
+              backend=backend) as simulate, ExitStack() as probes:
         if probe_signals:
             attached: List[Tuple[str, Probe]] = []
 
@@ -214,7 +210,6 @@ def verify_design(design: Design, func: Callable,
         if probe_signals:
             for name, probe in attached:
                 probe_samples.setdefault(name, []).extend(probe.samples)
-    simulation_seconds = time.perf_counter() - started
 
     checks: List[MemoryCheck] = []
     with span("verify.compare", "verify", design=design.name):
@@ -232,8 +227,8 @@ def verify_design(design: Design, func: Callable,
         checks=checks,
         cycles=rtg_result.total_cycles,
         reconfigurations=rtg_result.reconfigurations,
-        golden_seconds=golden_seconds,
-        simulation_seconds=simulation_seconds,
+        golden_seconds=golden.seconds,
+        simulation_seconds=simulate.seconds,
         rtg_result=rtg_result,
         evaluations=rtg_result.total_evaluations,
         backend=backend,
@@ -352,22 +347,19 @@ def verify_design_batch(design: Design, func: Callable,
 
     lane_base: List[Dict[str, MemoryImage]] = []
     lane_golden: List[Dict[str, MemoryImage]] = []
-    golden_started = time.perf_counter()
     with span("verify.golden", "verify", design=design.name,
-              batch=len(inputs_list)):
+              batch=len(inputs_list)) as golden:
         for inputs in inputs_list:
             base_images = prepare_images(design, inputs)
             lane_base.append(base_images)
             lane_golden.append(golden_result(design, func, base_images))
-    golden_seconds = time.perf_counter() - golden_started
 
     contexts = [ReconfigurationContext.from_rtg(design.rtg, initial=base)
                 for base in lane_base]
     batched = True
     fallback_reason = None
-    started = time.perf_counter()
     with span("verify.simulate", "verify", design=design.name,
-              backend=backend, batch=len(inputs_list)):
+              backend=backend, batch=len(inputs_list)) as simulate:
         executor = RtgBatchExecutor(design.rtg, contexts,
                                     fsm_mode=fsm_mode,
                                     control_mode=control_mode,
@@ -393,8 +385,7 @@ def verify_design_batch(design: Design, func: Callable,
             lanes_converged = 1.0
             rounds = 0
             elaborations = sum(len(result.runs) for result in lane_rtg)
-    simulation_seconds = time.perf_counter() - started
-    amortized = simulation_seconds / max(len(inputs_list), 1)
+    amortized = simulate.seconds / max(len(inputs_list), 1)
 
     lanes: List[VerificationResult] = []
     with span("verify.compare", "verify", design=design.name,
@@ -414,7 +405,7 @@ def verify_design_batch(design: Design, func: Callable,
                 checks=checks,
                 cycles=lane_rtg[lane].total_cycles,
                 reconfigurations=lane_rtg[lane].reconfigurations,
-                golden_seconds=golden_seconds / max(len(inputs_list), 1),
+                golden_seconds=golden.seconds / max(len(inputs_list), 1),
                 simulation_seconds=amortized,
                 rtg_result=lane_rtg[lane],
                 evaluations=lane_rtg[lane].total_evaluations,
@@ -426,8 +417,8 @@ def verify_design_batch(design: Design, func: Callable,
         backend=backend,
         batch_size=len(inputs_list),
         lanes=lanes,
-        golden_seconds=golden_seconds,
-        simulation_seconds=simulation_seconds,
+        golden_seconds=golden.seconds,
+        simulation_seconds=simulate.seconds,
         lanes_converged=lanes_converged,
         rounds=rounds,
         elaborations=elaborations,

@@ -31,7 +31,6 @@ directory for the regression suite to replay.
 from __future__ import annotations
 
 import multiprocessing
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,7 +40,7 @@ from ..compiler.partitioning import SPILL_MEMORY
 from ..compiler.pipeline import compile_function
 from ..golden.runner import run_golden
 from ..obs.coverage import CoverageCollector
-from ..obs.trace import span
+from ..obs.trace import span, start_span
 from ..rtg.context import ReconfigurationContext
 from ..rtg.executor import RtgExecutor
 from ..sim import SIMULATOR_BACKENDS
@@ -130,9 +129,6 @@ class CampaignReport:
     pool_startup_seconds: float = 0.0
     #: dispatch waves served by that single pool
     pool_waves: int = 0
-    #: spin-up cost a per-wave pool would have paid again on every
-    #: wave after the first — the measured value of pool reuse
-    pool_reuse_saved_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -162,8 +158,7 @@ class CampaignReport:
             lines.append(
                 f"  pool: {self.pool_waves} wave(s) on one pool, "
                 f"startup {self.pool_startup_seconds * 1e3:.0f}ms paid "
-                f"once (~{self.pool_reuse_saved_seconds * 1e3:.0f}ms "
-                f"re-spawn cost avoided)")
+                f"once")
         for failure in self.failures:
             lines.append(f"  [FAIL] seed {failure.seed}: "
                          f"{failure.outcome.describe()}")
@@ -414,10 +409,8 @@ def _worker_warmup(_index: int) -> None:
 
 def _run_one_seed(case_seed: int) -> FuzzCaseResult:
     config, backends, max_cycles, input_seed, collect = _WORKER_STATE
-    started = time.perf_counter()
     collector = CoverageCollector() if collect else None
-    seed_span = span("fuzz.seed", "fuzz", seed=case_seed)
-    with seed_span:
+    with span("fuzz.seed", "fuzz", seed=case_seed) as seed_span:
         try:
             program = generate(case_seed, config)
             outcome = run_program(program, backends=backends,
@@ -430,10 +423,9 @@ def _run_one_seed(case_seed: int) -> FuzzCaseResult:
                               exc_type=type(exc).__name__)
             program = None
         seed_span.set("outcome", outcome.kind)
-    seconds = time.perf_counter() - started
     items = (tuple(collector.report.items())
              if collector is not None else None)
-    return FuzzCaseResult(case_seed, outcome, seconds,
+    return FuzzCaseResult(case_seed, outcome, seed_span.seconds,
                           program=program if outcome.failed else None,
                           coverage_items=items)
 
@@ -467,51 +459,51 @@ def run_campaign(iterations: int, *, seed: int = 0, jobs: int = 1,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = config or GeneratorConfig()
     report = CampaignReport(seed=seed, jobs=jobs)
-    started = time.perf_counter()
 
-    global _WORKER_STATE
-    _WORKER_STATE = (config, tuple(backends), max_cycles, input_seed,
-                     coverage)
-    parallel = (jobs > 1 and iterations > 1
-                and "fork" in multiprocessing.get_all_start_methods())
-    try:
-        if parallel:
-            context = multiprocessing.get_context("fork")
-            wave = max(jobs * 8, 16)
-            # one pool serves every wave: the fork spin-up cost is paid
-            # (and measured) exactly once, up front, instead of once
-            # per wave; waves remain as the time-budget check cadence
-            with ProcessPoolExecutor(max_workers=jobs,
-                                     mp_context=context) as pool:
-                spawn_started = time.perf_counter()
-                for _ in pool.map(_worker_warmup, range(jobs)):
-                    pass
-                report.pool_startup_seconds = (
-                    time.perf_counter() - spawn_started)
-                for base in range(0, iterations, wave):
-                    report.pool_waves += 1
-                    seeds = [seed + i for i in
-                             range(base, min(base + wave, iterations))]
-                    for result in pool.map(_run_one_seed, seeds,
-                                           chunksize=2):
-                        _absorb(report, result, on_progress)
-                    report.wall_seconds = time.perf_counter() - started
+    with span("fuzz.campaign", "fuzz", seed=seed, jobs=jobs,
+              iterations=iterations) as campaign:
+        global _WORKER_STATE
+        _WORKER_STATE = (config, tuple(backends), max_cycles, input_seed,
+                         coverage)
+        parallel = (jobs > 1 and iterations > 1
+                    and "fork" in multiprocessing.get_all_start_methods())
+        try:
+            if parallel:
+                context = multiprocessing.get_context("fork")
+                wave = max(jobs * 8, 16)
+                # one pool serves every wave: the fork spin-up cost is paid
+                # (and measured) exactly once, up front, instead of once
+                # per wave; waves remain as the time-budget check cadence
+                with ProcessPoolExecutor(max_workers=jobs,
+                                         mp_context=context) as pool:
+                    # detached: the workers fork inside this span and
+                    # must not inherit it as their parent
+                    spawn = start_span("fuzz.pool", "fuzz", jobs=jobs)
+                    for _ in pool.map(_worker_warmup, range(jobs)):
+                        pass
+                    spawn.finish()
+                    report.pool_startup_seconds = spawn.seconds
+                    for base in range(0, iterations, wave):
+                        report.pool_waves += 1
+                        seeds = [seed + i for i in
+                                 range(base, min(base + wave, iterations))]
+                        for result in pool.map(_run_one_seed, seeds,
+                                               chunksize=2):
+                            _absorb(report, result, on_progress)
+                        report.wall_seconds = campaign.seconds
+                        if time_budget is not None \
+                                and report.wall_seconds >= time_budget:
+                            break
+            else:
+                for i in range(iterations):
+                    _absorb(report, _run_one_seed(seed + i), on_progress)
+                    report.wall_seconds = campaign.seconds
                     if time_budget is not None \
                             and report.wall_seconds >= time_budget:
                         break
-                report.pool_reuse_saved_seconds = (
-                    report.pool_startup_seconds
-                    * max(0, report.pool_waves - 1))
-        else:
-            for i in range(iterations):
-                _absorb(report, _run_one_seed(seed + i), on_progress)
-                report.wall_seconds = time.perf_counter() - started
-                if time_budget is not None \
-                        and report.wall_seconds >= time_budget:
-                    break
-    finally:
-        _WORKER_STATE = None
-    report.wall_seconds = time.perf_counter() - started
+        finally:
+            _WORKER_STATE = None
+    report.wall_seconds = campaign.seconds
     if ledger is not None:
         from ..obs.ledger import ledger_sink
         with ledger_sink(ledger) as sink:

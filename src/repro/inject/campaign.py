@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
-import time
 import traceback
 from concurrent.futures import (ProcessPoolExecutor,
                                 TimeoutError as FuturesTimeout,
@@ -207,11 +206,10 @@ def run_injection(design: Design, func: Callable,
     elif fault is not None and fault.kind == "mutation":
         mechanism = "mutation"
     handles: List = []
-    started = time.perf_counter()
     verdict: Optional[InjectionResult] = None
     cycles = 0
     with span("inject.run", "inject", design=design.name,
-              fault=fault.fault_id if fault else "baseline"):
+              fault=fault.fault_id if fault else "baseline") as run_span:
         try:
             run_design = (inject_fault(design, fault.mutation)
                           if mechanism == "mutation" else design)
@@ -233,7 +231,6 @@ def run_injection(design: Design, func: Callable,
             verdict = InjectionResult(
                 fault, "crash", cycles, 0.0,
                 note=f"{type(exc).__name__}: {exc}")
-    seconds = time.perf_counter() - started
 
     if handles:
         mechanism = handles[0].mechanism
@@ -241,7 +238,7 @@ def run_injection(design: Design, func: Callable,
         verdict = _classify(design, context, golden_images, fault,
                             mismatch_limit)
         verdict.cycles = cycles
-    verdict.seconds = seconds
+    verdict.seconds = run_span.seconds
     verdict.mechanism = mechanism
     return verdict
 
@@ -268,12 +265,13 @@ def _run_mem_flip_batch(design: Design, faults: Sequence[FaultDescriptor],
             design.rtg, initial=base_images))
     executor = RtgBatchExecutor(design.rtg, contexts, fsm_mode=fsm_mode,
                                 max_cycles_per_configuration=max_cycles)
-    started = time.perf_counter()
     try:
-        batch_result = executor.run()
+        with span("inject.lanes", "inject", design=design.name,
+                  batch=len(faults)) as lanes_span:
+            batch_result = executor.run()
     except (BatchUnsupported, SimulationTimeout):
         return [inject(fault) for fault in faults]
-    lane_seconds = (time.perf_counter() - started) / max(len(faults), 1)
+    lane_seconds = lanes_span.seconds / max(len(faults), 1)
 
     results: List[InjectionResult] = []
     for lane, fault in enumerate(faults):
@@ -345,59 +343,57 @@ def run_campaign(design: Design, func: Callable,
     name = app or design.name
     report = CampaignReport(app=name, backend=backend, jobs=jobs, seed=seed,
                             planned=len(faults))
-    wall_started = time.perf_counter()
-    deadline = (None if time_budget is None
-                else wall_started + float(time_budget))
+    with span("inject.campaign", "inject", app=name, backend=backend,
+              jobs=jobs, faults=len(faults)) as campaign_span:
+        golden_images = golden_result(design, func,
+                                      prepare_images(design, inputs))
 
-    golden_images = golden_result(design, func,
-                                  prepare_images(design, inputs))
+        baseline = run_injection(design, func, None, inputs,
+                                 backend=backend, max_cycles=max_cycles,
+                                 golden_images=golden_images,
+                                 fsm_mode=fsm_mode)
+        report.baseline = baseline
+        if baseline.verdict != "masked":
+            raise ValueError(
+                f"fault-free baseline classifies as {baseline.verdict!r}, "
+                f"not 'masked' — campaign verdicts would be meaningless "
+                f"({baseline.note})")
+        budget = min(max(baseline.cycles * hang_factor, 1000), max_cycles)
+        report.cycle_budget = budget
 
-    baseline = run_injection(design, func, None, inputs, backend=backend,
-                             max_cycles=max_cycles,
-                             golden_images=golden_images,
-                             fsm_mode=fsm_mode)
-    report.baseline = baseline
-    if baseline.verdict != "masked":
-        raise ValueError(
-            f"fault-free baseline classifies as {baseline.verdict!r}, "
-            f"not 'masked' — campaign verdicts would be meaningless "
-            f"({baseline.note})")
-    budget = min(max(baseline.cycles * hang_factor, 1000), max_cycles)
-    report.cycle_budget = budget
+        inject = functools.partial(run_injection, design, func,
+                                   inputs=inputs, backend=backend,
+                                   max_cycles=budget,
+                                   golden_images=golden_images,
+                                   fsm_mode=fsm_mode)
+        faults = list(faults)
+        slots: List[Optional[InjectionResult]] = [None] * len(faults)
+        pending = list(range(len(faults)))
 
-    inject = functools.partial(run_injection, design, func, inputs=inputs,
-                               backend=backend, max_cycles=budget,
-                               golden_images=golden_images, fsm_mode=fsm_mode)
-    faults = list(faults)
-    slots: List[Optional[InjectionResult]] = [None] * len(faults)
-    pending = list(range(len(faults)))
+        # batched lockstep lanes for the mem_flip subset
+        if backend == "batched" and len(faults) > 1:
+            flips = [index for index in pending
+                     if faults[index].kind == "mem_flip"]
+            if len(flips) > 1:
+                lane_results = _run_mem_flip_batch(
+                    design, [faults[index] for index in flips], inputs,
+                    golden_images, inject, max_cycles=budget,
+                    fsm_mode=fsm_mode)
+                for index, result in zip(flips, lane_results):
+                    slots[index] = result
+                pending = [index for index in pending
+                           if slots[index] is None]
 
-    # batched lockstep lanes for the mem_flip subset
-    if backend == "batched" and len(faults) > 1:
-        flips = [index for index in pending
-                 if faults[index].kind == "mem_flip"]
-        if len(flips) > 1:
-            lane_results = _run_mem_flip_batch(
-                design, [faults[index] for index in flips], inputs,
-                golden_images, inject, max_cycles=budget,
-                fsm_mode=fsm_mode)
-            for index, result in zip(flips, lane_results):
-                slots[index] = result
-            pending = [index for index in pending if slots[index] is None]
-
-    parallel = (
-        jobs > 1 and len(pending) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    campaign_span = span("inject.campaign", "inject", app=name,
-                         backend=backend, jobs=jobs, faults=len(faults))
-    with campaign_span:
+        parallel = (
+            jobs > 1 and len(pending) > 1
+            and "fork" in multiprocessing.get_all_start_methods()
+        )
         if parallel:
             global _ACTIVE_CAMPAIGN
             _ACTIVE_CAMPAIGN = (inject, faults)
             context = multiprocessing.get_context("fork")
-            timeout = (None if deadline is None
-                       else max(deadline - time.perf_counter(), 0.0))
+            timeout = (None if time_budget is None
+                       else max(time_budget - campaign_span.seconds, 0.0))
             try:
                 with ProcessPoolExecutor(max_workers=min(jobs, len(pending)),
                                          mp_context=context) as pool:
@@ -427,14 +423,14 @@ def run_campaign(design: Design, func: Callable,
                 _ACTIVE_CAMPAIGN = None
         else:
             for index in pending:
-                if deadline is not None \
-                        and time.perf_counter() > deadline:
+                if time_budget is not None \
+                        and campaign_span.seconds > time_budget:
                     break
                 slots[index] = inject(faults[index])
 
-    report.results = [result for result in slots if result is not None]
-    report.wall_seconds = time.perf_counter() - wall_started
-    campaign_span.set("verdicts", report.tally())
+        report.results = [result for result in slots if result is not None]
+        campaign_span.set("verdicts", report.tally())
+    report.wall_seconds = campaign_span.seconds
 
     if ledger is not None:
         from ..obs.ledger import ledger_sink

@@ -22,9 +22,10 @@ applies the same idea to the test infrastructure *itself*:
   ``repro obs compare``) and :mod:`repro.obs.dashboard` (the
   self-contained HTML dashboard and Prometheus textfile exporter).
 
-Everything is pay-for-what-you-use: with no recorder installed,
-:func:`repro.obs.trace.span` returns a shared no-op object, and no
-coverage hooks or watchers exist unless a collector is attached.
+Spans are the only clock: every :func:`repro.obs.trace.span` times
+itself, and reported durations are read from spans; with no recorder
+installed a span writes nothing.  No coverage hooks or watchers exist
+unless a collector is attached.
 """
 
 from .coverage import (ConfigurationCoverage, CoverageCollector,

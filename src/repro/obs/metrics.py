@@ -399,8 +399,6 @@ def campaign_metrics(report) -> Metrics:
         metrics.inc("pool_waves", waves)
         metrics.set_info("pool_startup_seconds",
                          round(report.pool_startup_seconds, 4))
-        metrics.set_info("pool_reuse_saved_seconds",
-                         round(report.pool_reuse_saved_seconds, 4))
     return metrics
 
 

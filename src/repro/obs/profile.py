@@ -31,10 +31,11 @@ never silently absorbed.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+
+from .trace import span
 
 __all__ = ["ProfileError", "KernelProfiler", "ProfileFrame",
            "ProfileReport", "profile_case"]
@@ -315,9 +316,9 @@ def profile_case(name: str, *, size: Optional[Mapping[str, int]] = None,
         design.rtg, context, fsm_mode=fsm_mode, backend=backend,
         max_cycles_per_configuration=case.max_cycles or max_cycles,
         coverage=profiler)
-    started = time.perf_counter()
-    rtg_result = executor.run()
-    wall = time.perf_counter() - started
+    with span("profile.run", "profile", case=name,
+              backend=backend) as run:
+        rtg_result = executor.run()
     return profiler.report(case=name, backend=backend,
                            total_cycles=rtg_result.total_cycles,
-                           wall_seconds=wall)
+                           wall_seconds=run.seconds)

@@ -19,9 +19,12 @@ them:
 ``trace_event`` JSON that chrome://tracing and https://ui.perfetto.dev
 open directly: one track per process/thread, spans nested by time.
 
-The module keeps one globally installed recorder.  When none is
-installed, :func:`span` returns a shared no-op object, so instrumented
-code pays one ``None`` check per span — nothing else.
+Spans are the only clock: every span reads ``time.monotonic_ns()`` at
+start and end and exposes the elapsed time as :attr:`Span.seconds`,
+whether or not a recorder is installed, so result fields, histograms
+and ledger rows take their durations from the span that surrounds the
+work.  The module keeps one globally installed recorder; with none
+installed a span writes nothing and mints no ids.
 
 Spans carry identity: every recorded span has a process-unique
 ``span_id``, belongs to a ``trace_id`` (inherited from the enclosing
@@ -153,34 +156,13 @@ def _remove_entry(entry) -> None:
             return
 
 
-class _NullSpan:
-    """Shared do-nothing span used when no recorder is installed."""
-
-    __slots__ = ()
-
-    span_id = None
-    trace_id = None
-    parent_id = None
-    context = None
-
-    def set(self, key: str, value: Any) -> "_NullSpan":
-        return self
-
-    def finish(self) -> None:
-        return None
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Span:
     """One timed phase: context manager around a block of work.
+
+    Every span times itself: :attr:`seconds` reads the elapsed time
+    while the span is open and its duration once closed.  Only a span
+    made while a recorder is installed mints ids, joins the context
+    stack and is written out.
 
     Two lifecycles share this class.  ``with span(...)`` is *ambient*:
     the span joins the thread's context stack, so spans opened inside
@@ -191,9 +173,10 @@ class Span:
     """
 
     __slots__ = ("name", "category", "attrs", "_recorder", "_start_ns",
-                 "span_id", "trace_id", "parent_id", "_parent", "_entry")
+                 "_end_ns", "span_id", "trace_id", "parent_id", "_parent",
+                 "_entry")
 
-    def __init__(self, recorder: "TraceRecorder", name: str,
+    def __init__(self, recorder: Optional["TraceRecorder"], name: str,
                  category: str, attrs: Dict[str, Any],
                  parent: Optional[Mapping] = None) -> None:
         self.name = name
@@ -201,6 +184,7 @@ class Span:
         self.attrs = attrs
         self._recorder = recorder
         self._start_ns: Optional[int] = None
+        self._end_ns: Optional[int] = None
         self.span_id: Optional[str] = None
         self.trace_id: Optional[str] = None
         self.parent_id: Optional[str] = None
@@ -213,6 +197,16 @@ class Span:
         return self
 
     @property
+    def seconds(self) -> float:
+        """Elapsed seconds while open, the span's duration once closed
+        (0.0 before it starts)."""
+        if self._start_ns is None:
+            return 0.0
+        end_ns = self._end_ns if self._end_ns is not None \
+            else time.monotonic_ns()
+        return (end_ns - self._start_ns) / 1e9
+
+    @property
     def context(self) -> Dict[str, str]:
         """Wire-safe context for children of this span (valid after the
         span has started)."""
@@ -222,6 +216,8 @@ class Span:
     # -- lifecycle ------------------------------------------------------
     def _begin(self) -> None:
         self._start_ns = time.monotonic_ns()
+        if self._recorder is None:
+            return
         ctx = self._parent
         if not (isinstance(ctx, Mapping) and ctx.get("trace_id")):
             ctx = current_context()
@@ -234,10 +230,12 @@ class Span:
         self.span_id = _new_span_id()
 
     def _end(self, exc_type=None) -> None:
-        end_ns = time.monotonic_ns()
+        self._end_ns = time.monotonic_ns()
+        if self._recorder is None:
+            return
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        self._recorder.record(self, end_ns)
+        self._recorder.record(self, self._end_ns)
 
     def start(self) -> "Span":
         """Begin a detached span (no stack entry); pair with finish()."""
@@ -250,8 +248,9 @@ class Span:
 
     def __enter__(self) -> "Span":
         self._begin()
-        self._entry = (self.trace_id, self.span_id)
-        _ctx_stack().append(self._entry)
+        if self.span_id is not None:
+            self._entry = (self.trace_id, self.span_id)
+            _ctx_stack().append(self._entry)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -399,15 +398,13 @@ def active_recorder() -> Optional[TraceRecorder]:
 
 def span(name: str, category: str = "repro",
          parent: Optional[Mapping] = None, **attrs: Any):
-    """A context-manager span, or a shared no-op when not recording.
+    """A context-manager span; recorded only while a recorder is
+    installed, timed always.
 
     ``parent`` overrides the ambient context with an explicit
     ``{"trace_id", "parent"}`` dict (e.g. one received over a wire).
     """
-    recorder = _ACTIVE
-    if recorder is None:
-        return _NULL_SPAN
-    return Span(recorder, name, category, dict(attrs), parent=parent)
+    return Span(_ACTIVE, name, category, attrs, parent=parent)
 
 
 def start_span(name: str, category: str = "repro",
@@ -419,13 +416,8 @@ def start_span(name: str, category: str = "repro",
     parent now but never join the thread's context stack, and they are
     recorded when :meth:`Span.finish` is called.  Hand
     :attr:`Span.context` to children (or across a process boundary).
-    Returns the shared no-op span when no recorder is installed.
     """
-    recorder = _ACTIVE
-    if recorder is None:
-        return _NULL_SPAN
-    return Span(recorder, name, category, dict(attrs),
-                parent=parent).start()
+    return Span(_ACTIVE, name, category, attrs, parent=parent).start()
 
 
 def event(name: str, category: str = "repro", **attrs: Any) -> None:

@@ -31,31 +31,32 @@ timing, which must not masquerade on disk as a plain run of the
 requested backend), and one ledger row per job is accumulated for
 :meth:`repro.obs.Ledger.record_serve` at shutdown.
 
-Every job is telemetered end to end.  When a trace recorder is
-installed, submit opens a detached ``serve.job`` span (adopting the
-client's ``trace`` context if the request carried one), the gate
-verdict and the queue wait get child spans, and the job's span context
-rides the wire to the worker, whose ``serve.execute`` span lands in
-the same trace — one Perfetto timeline per job across both processes.
-Independently of tracing, the scheduler feeds a fixed set of
+Every job is telemetered end to end.  Submit opens a detached
+``serve.job`` span (adopting the client's ``trace`` context if the
+request carried one), each gate and the queue wait get child spans,
+and the job's span context rides the wire to the worker, whose
+``serve.execute`` span lands in the same trace — one Perfetto timeline
+per job across both processes when a trace recorder is installed.
+Spans time themselves whether or not they are recorded, and they are
+the only clock here: the fixed set of
 :class:`~repro.obs.metrics.Histogram` instruments (per-gate latency,
-queue wait, execute time, end-to-end job latency, batch size) whose
-snapshots ride :meth:`stats` and whose Prometheus rendering is
-:meth:`prometheus`.
+queue wait, execute time, end-to-end job latency, batch size) is fed
+from the matching spans' durations; the snapshots ride :meth:`stats`
+and their Prometheus rendering is :meth:`prometheus`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import time
 from collections import deque
+from contextlib import contextmanager
 from typing import Deque, Dict, List, Optional, Union
 
 from ..core.cache import ArtifactCache, result_to_payload
 from ..core.testsuite import CaseResult
 from ..obs.metrics import Histogram, render_prometheus_histogram
-from ..obs.trace import start_span
+from ..obs.trace import Span, span, start_span
 from .jobs import JobError, JobSpec, ResolvedJob, resolve_job
 from .workers import worker_main
 
@@ -107,23 +108,27 @@ class _Queued:
     """One scheduled execution; carries every waiter's future.
 
     Also carries the telemetry of the execution: the owning job's
-    detached span and submit time, the queue-wait span opened at
-    enqueue, and the (span, submit-time) of every coalesced waiter —
-    all closed at finalize so one reply resolves every timeline.
+    detached span, the queue-wait span opened at enqueue, and the span
+    of every coalesced waiter — all closed at finalize so one reply
+    resolves every timeline.
     """
 
-    __slots__ = ("resolved", "futures", "span", "submitted_at",
-                 "queue_span", "enqueued_at", "extra_spans")
+    __slots__ = ("resolved", "futures", "span", "queue_span",
+                 "extra_spans")
 
     def __init__(self, resolved: ResolvedJob,
-                 future: "asyncio.Future") -> None:
+                 future: "asyncio.Future", job_span: Span) -> None:
         self.resolved = resolved
         self.futures = [future]
-        self.span = None
-        self.submitted_at = 0.0
-        self.queue_span = None
-        self.enqueued_at = 0.0
-        self.extra_spans: List[tuple] = []
+        self.span: Optional[Span] = job_span
+        self.queue_span: Optional[Span] = None
+        self.extra_spans: List[Span] = []
+
+    def enqueue(self) -> None:
+        """Open the queue-wait span (again, after a worker death)."""
+        self.queue_span = start_span("serve.queue", category="serve",
+                                     parent=self.span.context,
+                                     case=self.spec.case)
 
     @property
     def spec(self) -> JobSpec:
@@ -177,7 +182,7 @@ class ServeScheduler:
         self._memo: Dict[str, dict] = {}
         self._unbatchable: set = set()
         self._dispatch_seq = 0
-        self._started: Optional[float] = None
+        self._run_span: Optional[Span] = None
         self._respawns = 0
         self._kick_scheduled = False
         self._closed = False
@@ -194,7 +199,8 @@ class ServeScheduler:
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._started = time.perf_counter()
+        self._run_span = start_span("serve.run", category="serve",
+                                    workers=self.jobs)
         for index in range(self.jobs):
             self._spawn(index)
 
@@ -241,6 +247,8 @@ class ServeScheduler:
                 worker.process.terminate()
                 worker.process.join(timeout=5)
             worker.process = None
+        if self._run_span is not None:
+            self._run_span.finish()
 
     # -- submission -----------------------------------------------------
     def submit(self, spec: Union[JobSpec, dict]) -> Submission:
@@ -261,7 +269,6 @@ class ServeScheduler:
             parent = spec["trace"]
         job_span = start_span("serve.job", category="serve",
                               parent=parent)
-        submitted_at = time.perf_counter()
         try:
             if isinstance(spec, dict):
                 spec = JobSpec.from_dict(spec)
@@ -281,73 +288,69 @@ class ServeScheduler:
             return Submission(None, "invalid", future)
 
         job_span.set("case", spec.case).set("key", resolved.key[:16])
-        gate_span = start_span("serve.gates", category="serve",
-                               parent=job_span.context, case=spec.case)
-        served, queued = self._admit(resolved, future, job_span,
-                                     submitted_at)
-        gate_span.set("verdict", served)
-        gate_span.finish()
+        with span("serve.gates", "serve", parent=job_span.context,
+                  case=spec.case) as gate_span:
+            served = self._admit(resolved, future, job_span)
+            gate_span.set("verdict", served)
         if served in ("memo", "artifact"):
             # answered on the spot: the job's whole life was the gates
-            self.histograms["job_latency_seconds"].observe(
-                time.perf_counter() - submitted_at)
             job_span.set("served", served)
             job_span.finish()
+            self.histograms["job_latency_seconds"].observe(job_span.seconds)
         # coalesced/queued spans close at _finalize, with the execution
         return Submission(resolved.key, served, future)
 
+    @contextmanager
+    def _gate(self, name: str, job_span: Span):
+        """One admission gate's span (a child of the job, beside
+        ``serve.gates``); its duration feeds the gate's latency
+        histogram."""
+        with span(f"serve.gate.{name}", "serve",
+                  parent=job_span.context) as gate:
+            yield
+        self.histograms[f"gate_{name}_seconds"].observe(gate.seconds)
+
     def _admit(self, resolved: ResolvedJob, future: "asyncio.Future",
-               job_span, submitted_at: float) -> tuple:
+               job_span: Span) -> str:
         """Run the four admission gates, cheapest first, timing each.
 
-        Returns ``(served, queued-or-None)``; resolves *future* itself
-        when a gate answers without execution.
+        Returns how the job was served; resolves *future* itself when a
+        gate answers without execution.
         """
         key = resolved.key
-        hist = self.histograms
-        t0 = time.perf_counter()
-        payload = self._memo.get(key)
-        hist["gate_memo_seconds"].observe(time.perf_counter() - t0)
+        with self._gate("memo", job_span):
+            payload = self._memo.get(key)
         if payload is not None:
             self.counters["memo_hits"] += 1
             future.set_result(payload)
             self._record(payload, cached=True, batch_size=0)
-            return "memo", None
+            return "memo"
         if self.cache is not None:
-            t0 = time.perf_counter()
-            hit = self.cache.load(key)
-            hist["gate_artifact_seconds"].observe(
-                time.perf_counter() - t0)
+            with self._gate("artifact", job_span):
+                hit = self.cache.load(key)
             if hit is not None:
                 payload = result_to_payload(hit)
                 self._remember(key, payload)
                 self.counters["artifact_hits"] += 1
                 future.set_result(payload)
                 self._record(payload, cached=True, batch_size=0)
-                return "artifact", None
-        t0 = time.perf_counter()
-        queued = self._inflight.get(key)
-        hist["gate_coalesce_seconds"].observe(time.perf_counter() - t0)
+                return "artifact"
+        with self._gate("coalesce", job_span):
+            queued = self._inflight.get(key)
         if queued is not None:
             self.counters["coalesced"] += 1
             queued.futures.append(future)
-            queued.extra_spans.append((job_span, submitted_at))
-            return "coalesced", queued
+            queued.extra_spans.append(job_span)
+            return "coalesced"
 
-        t0 = time.perf_counter()
-        queued = _Queued(resolved, future)
-        queued.span = job_span
-        queued.submitted_at = submitted_at
-        queued.queue_span = start_span("serve.queue", category="serve",
-                                       parent=job_span.context,
-                                       case=resolved.spec.case)
-        queued.enqueued_at = time.perf_counter()
-        self._inflight[key] = queued
-        shard = resolved.shard(self.jobs)
-        self._deques[shard].append(queued)
-        self._kick()
-        hist["gate_queue_seconds"].observe(time.perf_counter() - t0)
-        return "queued", queued
+        with self._gate("queue", job_span):
+            queued = _Queued(resolved, future, job_span)
+            queued.enqueue()
+            self._inflight[key] = queued
+            shard = resolved.shard(self.jobs)
+            self._deques[shard].append(queued)
+            self._kick()
+        return "queued"
 
     def _kick(self) -> None:
         """Schedule one dispatch pass per event-loop tick, so a burst
@@ -408,16 +411,14 @@ class ServeScheduler:
     def _send(self, worker: _Worker, batch: List[_Queued]) -> None:
         worker.dispatch = batch
         self._dispatch_seq += 1
-        now = time.perf_counter()
         self.histograms["batch_size"].observe(len(batch))
         specs = []
         for queued in batch:
-            self.histograms["queue_wait_seconds"].observe(
-                now - queued.enqueued_at)
-            if queued.queue_span is not None:
-                queued.queue_span.set("worker", worker.index)
-                queued.queue_span.finish()
-                queued.queue_span = None
+            wait = queued.queue_span
+            wait.set("worker", worker.index)
+            wait.finish()
+            self.histograms["queue_wait_seconds"].observe(wait.seconds)
+            queued.queue_span = None
             spec_dict = queued.spec.to_dict()
             if queued.span is not None \
                     and queued.span.span_id is not None:
@@ -479,23 +480,20 @@ class ServeScheduler:
         execute_seconds = entry.get("execute_seconds")
         if execute_seconds is not None:
             self.histograms["execute_seconds"].observe(execute_seconds)
-        now = time.perf_counter()
         if queued.queue_span is not None:
             # never dispatched (worker died, budget exhausted): the
             # queue wait still ends here
             queued.queue_span.finish()
             queued.queue_span = None
-        if queued.span is not None:
-            self.histograms["job_latency_seconds"].observe(
-                now - queued.submitted_at)
-            queued.span.set("served", "queued").set("passed", passed)
-            queued.span.finish()
-            queued.span = None
-        for job_span, submitted_at in queued.extra_spans:
-            self.histograms["job_latency_seconds"].observe(
-                now - submitted_at)
-            job_span.set("served", "coalesced").set("passed", passed)
+        waiters = [(queued.span, "queued")] if queued.span is not None \
+            else []
+        waiters += [(job_span, "coalesced")
+                    for job_span in queued.extra_spans]
+        for job_span, served in waiters:
+            job_span.set("served", served).set("passed", passed)
             job_span.finish()
+            self.histograms["job_latency_seconds"].observe(job_span.seconds)
+        queued.span = None
         queued.extra_spans = []
         for future in queued.futures:
             if not future.done():
@@ -531,6 +529,7 @@ class ServeScheduler:
         # put the interrupted jobs back at the front of their shard's
         # deque (they were next in line) and bring up a replacement
         for queued in reversed(orphans):
+            queued.enqueue()
             self._deques[worker.index].appendleft(queued)
         self._spawn(worker.index)
         self._kick()
@@ -565,8 +564,8 @@ class ServeScheduler:
                                     + counters["memo_hits"]
                                     + counters["artifact_hits"])
         counters.update({
-            "wall_seconds": (time.perf_counter() - self._started
-                             if self._started is not None else 0.0),
+            "wall_seconds": (self._run_span.seconds
+                             if self._run_span is not None else 0.0),
             "workers": self.jobs,
             "batch_max": self.batch_max,
             "queue_depths": [len(dq) for dq in self._deques],

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import signal
-import time
 import traceback
 from typing import List, Optional
 
@@ -40,7 +39,7 @@ from ..core.cache import result_to_payload
 from ..core.report import collect_metrics
 from ..core.testsuite import CaseResult, run_case
 from ..core.verification import verify_design_batch
-from ..obs.trace import start_span
+from ..obs.trace import span, start_span
 from .jobs import JobError, JobSpec, resolve_job
 
 __all__ = ["worker_main", "execute_jobs"]
@@ -83,9 +82,9 @@ def _execute_batch(spec_dicts: List[dict]) -> List[dict]:
     specs = [JobSpec.from_dict(d) for d in spec_dicts]
     resolved = [resolve_job(s) for s in specs]
     case = resolved[0].case
-    started = time.perf_counter()
-    design = case.compile()
-    compile_share = (time.perf_counter() - started) / len(specs)
+    with span("suite.compile", "suite", case=case.name) as compile_span:
+        design = case.compile()
+    compile_share = compile_span.seconds / len(specs)
     inputs_list = [r.case.inputs(r.spec.seed) for r in resolved]
     batch = verify_design_batch(design, case.func, inputs_list,
                                 fsm_mode=specs[0].fsm_mode,
@@ -104,6 +103,13 @@ def _execute_batch(spec_dicts: List[dict]) -> List[dict]:
     return entries
 
 
+def _execute_span(spec_dict, context, batch: int):
+    case = spec_dict.get("case", "?") if isinstance(spec_dict, dict) \
+        else "?"
+    return start_span("serve.execute", category="serve", parent=context,
+                      case=case, batch=batch)
+
+
 def execute_jobs(spec_dicts: List[dict]) -> List[dict]:
     """Run a dispatch; always returns one entry per job, never raises.
 
@@ -113,37 +119,26 @@ def execute_jobs(spec_dicts: List[dict]) -> List[dict]:
     """
     contexts = _pop_contexts(spec_dicts)
     if len(spec_dicts) > 1:
-        spans = [start_span("serve.execute", category="serve",
-                            parent=context,
-                            case=spec_dict.get("case", "?")
-                            if isinstance(spec_dict, dict) else "?",
-                            batch=len(spec_dicts))
+        spans = [_execute_span(spec_dict, context, len(spec_dicts))
                  for spec_dict, context in zip(spec_dicts, contexts)]
-        started = time.perf_counter()
         try:
             entries = _execute_batch(spec_dicts)
         except Exception:  # noqa: BLE001 - degrade, don't die
             entries = None
-        wall = time.perf_counter() - started
+        for execute in spans:
+            if entries is None:
+                # the lockstep path refused; singles follow with their
+                # own spans, so this one records only the failed attempt
+                execute.set("degraded", True)
+            execute.finish()
         if entries is not None:
+            # the first span opened before and closed after the dispatch
             for entry in entries:
-                entry["execute_seconds"] = wall / len(entries)
-            for span in spans:
-                span.finish()
+                entry["execute_seconds"] = spans[0].seconds / len(entries)
             return entries
-        for span in spans:
-            # the lockstep path refused; singles follow with their own
-            # spans, so this one records only the failed attempt
-            span.set("degraded", True)
-            span.finish()
     entries = []
     for spec_dict, context in zip(spec_dicts, contexts):
-        span = start_span("serve.execute", category="serve",
-                          parent=context,
-                          case=spec_dict.get("case", "?")
-                          if isinstance(spec_dict, dict) else "?",
-                          batch=1)
-        started = time.perf_counter()
+        execute = _execute_span(spec_dict, context, 1)
         try:
             entry = _execute_single(spec_dict)
         except Exception as exc:  # noqa: BLE001 - worker boundary
@@ -152,8 +147,8 @@ def execute_jobs(spec_dicts: List[dict]) -> List[dict]:
             entry = _error_entry(
                 str(name), f"{type(exc).__name__}: {exc}",
                 traceback.format_exc())
-        entry["execute_seconds"] = time.perf_counter() - started
-        span.finish()
+        execute.finish()
+        entry["execute_seconds"] = execute.seconds
         entries.append(entry)
     return entries
 

@@ -9,7 +9,7 @@ import pytest
 from repro.obs import (TraceRecorder, active_recorder, event,
                        export_chrome_trace, install, recording, span,
                        uninstall)
-from repro.obs.trace import _NULL_SPAN
+from repro.obs.trace import current_context
 
 
 @pytest.fixture(autouse=True)
@@ -26,12 +26,19 @@ def _lines(path):
 
 
 class TestSpan:
-    def test_span_without_recorder_is_shared_noop(self):
-        assert active_recorder() is None
-        s = span("anything", "cat", k=1)
-        assert s is _NULL_SPAN
-        with s as inner:
-            assert inner.set("more", 2) is inner
+    def test_span_without_recorder_times_but_writes_nothing(self, tmp_path):
+        # a recorder that exists but is not installed must stay empty
+        path = tmp_path / "events.jsonl"
+        with TraceRecorder(path):
+            assert active_recorder() is None
+            with span("anything", "cat", k=1) as s:
+                assert s.set("more", 2) is s
+                assert s.span_id is None
+                assert current_context() is None
+                assert s.seconds >= 0
+        assert s.span_id is None
+        assert s.seconds >= 0
+        assert path.read_text() == ""
 
     def test_span_records_one_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
