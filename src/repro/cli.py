@@ -124,6 +124,9 @@ def _tracing(trace_path: Optional[str]):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .sim.backends import SIMULATOR_BACKENDS
+
+    backends = tuple(SIMULATOR_BACKENDS)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Functional test infrastructure for compiler-"
@@ -140,10 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--case", action="append", dest="cases",
                        metavar="NAME",
                        help="run only the named case(s); repeatable")
-    suite.add_argument("--backend",
-                       choices=("event", "oblivious", "compiled", "traced",
-                                "batched"),
-                       default="event",
+    suite.add_argument("--backend", choices=backends, default="event",
                        help="simulation kernel (default: event; "
                             "'traced' is fastest for one stimulus, "
                             "'batched' amortizes over many, see "
@@ -179,10 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--workdir", default="repro_out",
                       help="artifact directory (default: repro_out)")
     flow.add_argument("--seed", type=int, default=0)
-    flow.add_argument("--backend",
-                      choices=("event", "oblivious", "compiled", "traced",
-                               "batched"),
-                      default="event",
+    flow.add_argument("--backend", choices=backends, default="event",
                       help="simulation kernel (default: event)")
     _add_obs_flags(flow)
 
@@ -934,7 +931,6 @@ def _triage_campaign_sdc(report, design, func, inputs, args,
         return
     take = min(args.triage_sdc, len(sdc))
     picks = random.Random(args.seed).sample(sdc, take)
-    backend = args.backend if args.backend != "batched" else "compiled"
     print(f"triage: {take}/{len(sdc)} sdc verdict(s) sampled "
           f"(seed {args.seed})")
     for result in picks:
@@ -943,8 +939,8 @@ def _triage_campaign_sdc(report, design, func, inputs, args,
                   fault=fault.fault_id) as run:
             try:
                 triaged = triage_fault(design, func, fault, inputs,
-                                       backend=backend, app=args.case,
-                                       kind="campaign-sdc")
+                                       backend=args.backend,
+                                       app=args.case, kind="campaign-sdc")
             except TriageError as exc:
                 print(f"  triage: {fault.fault_id} skipped ({exc})")
                 continue
@@ -974,8 +970,7 @@ def _cmd_campaign(args) -> int:
         return 2
     faults = _faultload(case, design, inputs, args.faultload,
                         n=args.faults, kinds=kinds, seed=args.seed,
-                        backend=args.backend
-                        if args.backend != "batched" else "compiled")
+                        backend=args.backend)
     if isinstance(faults, int):
         return faults
 

@@ -140,6 +140,29 @@ def golden_result(design: Design, func: Callable,
     return images
 
 
+def _compared_arrays(design: Design,
+                     compare: str) -> List[Tuple[str, object]]:
+    """The ``(name, spec)`` arrays a verification compares: every array
+    but the spill memory (``"all"``) or only ``role="output"`` ones
+    (``"outputs"``)."""
+    if compare not in ("all", "outputs"):
+        raise ValueError(f"compare must be 'all' or 'outputs', got {compare!r}")
+    return [(name, spec) for name, spec in design.arrays.items()
+            if name != SPILL_MEMORY
+            and (compare == "all" or spec.role == "output")]
+
+
+def _memory_checks(arrays, golden_images: Mapping[str, MemoryImage],
+                   context: ReconfigurationContext,
+                   mismatch_limit: int) -> List[MemoryCheck]:
+    """Compare each of *arrays* word by word, golden vs simulated."""
+    return [MemoryCheck(name, spec.role, words=spec.depth,
+                        mismatches=compare_images(golden_images[name],
+                                                  context.memory(name),
+                                                  limit=mismatch_limit))
+            for name, spec in arrays]
+
+
 def verify_design(design: Design, func: Callable,
                   inputs: Optional[Mapping[str, Union[MemoryImage,
                                                       Sequence[int]]]] = None,
@@ -174,12 +197,8 @@ def verify_design(design: Design, func: Callable,
     :class:`repro.obs.Ledger` or a path) appends the result as one
     ``verify`` row once the comparison is done.
     """
-    if compare not in ("all", "outputs"):
-        raise ValueError(f"compare must be 'all' or 'outputs', got {compare!r}")
-
+    arrays = _compared_arrays(design, compare)
     base_images = prepare_images(design, inputs)
-    array_specs = {name: spec for name, spec in design.arrays.items()
-                   if name != SPILL_MEMORY}
 
     with span("verify.golden", "verify", design=design.name) as golden:
         golden_images = golden_result(design, func, base_images)
@@ -211,16 +230,9 @@ def verify_design(design: Design, func: Callable,
             for name, probe in attached:
                 probe_samples.setdefault(name, []).extend(probe.samples)
 
-    checks: List[MemoryCheck] = []
     with span("verify.compare", "verify", design=design.name):
-        for name, spec in array_specs.items():
-            if compare == "outputs" and spec.role != "output":
-                continue
-            mismatches = compare_images(golden_images[name],
-                                        context.memory(name),
-                                        limit=mismatch_limit)
-            checks.append(MemoryCheck(name, spec.role, words=spec.depth,
-                                      mismatches=mismatches))
+        checks = _memory_checks(arrays, golden_images, context,
+                                mismatch_limit)
 
     result = VerificationResult(
         design=design.name,
@@ -338,11 +350,7 @@ def verify_design_batch(design: Design, func: Callable,
     lane runs and fall back to serial execution; the result then has
     ``batched=False`` and carries the reason.
     """
-    if compare not in ("all", "outputs"):
-        raise ValueError(f"compare must be 'all' or 'outputs', got {compare!r}")
-
-    array_specs = {name: spec for name, spec in design.arrays.items()
-                   if name != SPILL_MEMORY}
+    arrays = _compared_arrays(design, compare)
     backend = "batched"
 
     lane_base: List[Dict[str, MemoryImage]] = []
@@ -391,18 +399,10 @@ def verify_design_batch(design: Design, func: Callable,
     with span("verify.compare", "verify", design=design.name,
               batch=len(inputs_list)):
         for lane, context in enumerate(contexts):
-            checks: List[MemoryCheck] = []
-            for name, spec in array_specs.items():
-                if compare == "outputs" and spec.role != "output":
-                    continue
-                mismatches = compare_images(lane_golden[lane][name],
-                                            context.memory(name),
-                                            limit=mismatch_limit)
-                checks.append(MemoryCheck(name, spec.role, words=spec.depth,
-                                          mismatches=mismatches))
             lanes.append(VerificationResult(
                 design=design.name,
-                checks=checks,
+                checks=_memory_checks(arrays, lane_golden[lane], context,
+                                      mismatch_limit),
                 cycles=lane_rtg[lane].total_cycles,
                 reconfigurations=lane_rtg[lane].reconfigurations,
                 golden_seconds=golden.seconds / max(len(inputs_list), 1),

@@ -329,7 +329,8 @@ def run_campaign(design: Design, func: Callable,
     and its cycle count sets the hang budget (``cycles × hang_factor``,
     at least 1000, at most ``max_cycles``).  ``jobs`` > 1 fans
     injections over a fork pool; ``backend="batched"`` additionally
-    groups the ``mem_flip`` faults into lockstep lanes.
+    groups the ``mem_flip`` faults into lockstep lanes and runs the
+    ``stuck``/``reg_flip`` faults on the event kernel.
     ``time_budget`` (seconds, measured from campaign start) stops
     scheduling new injections once exceeded — already-running ones
     still land, so the nightly job degrades to a shorter classified
@@ -361,11 +362,18 @@ def run_campaign(design: Design, func: Callable,
         budget = min(max(baseline.cycles * hang_factor, 1000), max_cycles)
         report.cycle_budget = budget
 
-        inject = functools.partial(run_injection, design, func,
-                                   inputs=inputs, backend=backend,
-                                   max_cycles=budget,
-                                   golden_images=golden_images,
-                                   fsm_mode=fsm_mode)
+        run = functools.partial(run_injection, design, func,
+                                inputs=inputs, max_cycles=budget,
+                                golden_images=golden_images,
+                                fsm_mode=fsm_mode)
+
+        def inject(fault: FaultDescriptor) -> InjectionResult:
+            # a batched campaign's signal faults never ride lanes (one
+            # flip latch per kernel) and run on the event kernel's hooks,
+            # since the fused kernel is not faster for every app
+            to_event = (backend == "batched"
+                        and fault.kind in ("stuck", "reg_flip"))
+            return run(fault, backend="event" if to_event else backend)
         faults = list(faults)
         slots: List[Optional[InjectionResult]] = [None] * len(faults)
         pending = list(range(len(faults)))

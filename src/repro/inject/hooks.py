@@ -3,12 +3,12 @@
 Two mechanisms, chosen per design at attach time:
 
 * **Kernel spec** — on a :class:`~repro.sim.compiled.CompiledSimulator`
-  (and its traced subclass) the fault is *compiled into* the generated
+  (plain or fused) the fault is *compiled into* the generated
   kernel, exactly like coverage instrumentation: a
   :class:`KernelFaultSpec` on the simulator adds entries to the kernel
   IR — a force after every write of the target net (stuck-at) or a
   windowed one-shot XOR on the pinned state's edge (transient flip).
-  The fast path keeps running at full speed, and the traced kernel
+  The fast path keeps running at full speed, and a fused kernel
   keeps its fused traces (all but one containing a flip's pinned
   state, whose cycle window needs the per-state path).
 * **Event hooks** — on the plain event kernel (or when the compiled

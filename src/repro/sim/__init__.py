@@ -4,11 +4,13 @@ Public surface:
 
 * :class:`Simulator` — the hybrid event/cycle kernel
 * :class:`ObliviousSimulator` — evaluate-everything reference kernel
-* :class:`CompiledSimulator` — levelized, per-state-specialized kernel
-* :class:`TracedSimulator` — compiled kernel + hot FSM-loop trace fusion
-* :class:`BatchedSimulator` / :class:`LaneBatch` — N stimulus sets in
-  lockstep through one fused kernel (struct-of-arrays lane state)
-* :data:`SIMULATOR_BACKENDS` / :func:`create_simulator` — select by name
+* :class:`CompiledSimulator` — levelized, per-state-specialized kernel;
+  ``fuse=True`` adds hot FSM-loop trace fusion
+* :class:`LaneBatch` — N stimulus sets in lockstep through one fused
+  kernel (struct-of-arrays lane state)
+* :data:`SIMULATOR_BACKENDS` / :func:`create_simulator` — select by name:
+  ``compiled`` is the plain kernel, ``traced`` and ``batched`` both name
+  the fused one
 * :class:`Signal`, :class:`Combinational`, :class:`Sequential`,
   :class:`ClockDomain` — the structural model
 * :class:`Probe`, :class:`Assertion`, :class:`StopCondition`,
@@ -29,17 +31,14 @@ from .wavecapture import WaveCapture, WaveSample
 # compiled imports repro.operators (for its code emitters), which in turn
 # imports sim submodules — keep this import last so those are complete
 from .compiled import CompiledSimulator
-from .trace import TracedSimulator
-from .batched import (BatchedSimulator, BatchReport, BatchUnsupported,
-                      LaneBatch, probe_fast_path)
+from .batched import (BatchReport, BatchUnsupported, LaneBatch,
+                      probe_fast_path)
 from .backends import SIMULATOR_BACKENDS, create_simulator
 
 __all__ = [
     "Simulator",
     "ObliviousSimulator",
     "CompiledSimulator",
-    "TracedSimulator",
-    "BatchedSimulator",
     "BatchReport",
     "BatchUnsupported",
     "LaneBatch",

@@ -8,21 +8,25 @@ and cache keys as a plain string.
 
 from __future__ import annotations
 
-from .batched import BatchedSimulator
+import functools
+
 from .compiled import CompiledSimulator
 from .kernel import Simulator
 from .oblivious import ObliviousSimulator
-from .trace import TracedSimulator
 
 __all__ = ["SIMULATOR_BACKENDS", "create_simulator"]
 
-#: name -> Simulator subclass; "event" is the default everywhere
+_fused = functools.partial(CompiledSimulator, fuse=True)
+
+#: name -> simulator factory; "event" is the default everywhere.
+#: ``traced`` and ``batched`` name one fused kernel (batching is how
+#: :class:`~repro.sim.batched.LaneBatch` drives it, not a kernel kind)
 SIMULATOR_BACKENDS = {
     "event": Simulator,
     "oblivious": ObliviousSimulator,
     "compiled": CompiledSimulator,
-    "traced": TracedSimulator,
-    "batched": BatchedSimulator,
+    "traced": _fused,
+    "batched": _fused,
 }
 
 

@@ -23,9 +23,12 @@ state and the fused loop bodies still apply; the fraction of rounds
 where all active lanes shared one cohort is reported as
 ``lanes_converged``.
 
-:class:`BatchedSimulator` is also a complete single-stimulus backend
-(``--backend=batched``): for one lane it is exactly the traced kernel,
-so every differential harness cross-checks it for free.
+``--backend=batched`` elaborates the same fused
+:class:`~repro.sim.compiled.CompiledSimulator` as ``--backend=traced``
+(one kernel-cache entry serves both), so a single lane is exactly the
+traced kernel and every differential harness cross-checks it for free.
+A kernel with a fault spec armed is refused (:func:`probe_fast_path`):
+its one-shot flip latch cannot serve N lanes.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from array import array
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .signal import Signal
-from .trace import TracedSimulator
 
-__all__ = ["BatchedSimulator", "BatchUnsupported", "BatchReport",
-           "LaneBatch", "DEFAULT_QUANTUM", "probe_fast_path"]
+__all__ = ["BatchUnsupported", "BatchReport", "LaneBatch",
+           "DEFAULT_QUANTUM", "probe_fast_path"]
 
 
 def probe_fast_path(sim, done_signal):
@@ -53,6 +55,9 @@ def probe_fast_path(sim, done_signal):
     if ensure is None:
         raise BatchUnsupported(
             f"backend {type(sim).__name__} has no compiled program")
+    if sim.fault_spec is not None:
+        raise BatchUnsupported(
+            "fault spec armed: its one-shot latch cannot serve N lanes")
     program = ensure()
     if program is None:
         raise BatchUnsupported(
@@ -86,22 +91,6 @@ class BatchUnsupported(RuntimeError):
     Raised before any lane state is touched, so the caller can fall
     back to running the lanes serially with identical semantics.
     """
-
-
-class BatchedSimulator(TracedSimulator):
-    """Trace-fusing kernel with a batch-kind cache key (``batched``).
-
-    Single-stimulus behaviour is identical to :class:`TracedSimulator`
-    — same fusion, same conservative fallbacks — which keeps every
-    existing differential net valid for this backend.  The batch engine
-    (:class:`LaneBatch`) drives instances of this class N lanes at a
-    time.
-    """
-
-    _kernel_kind = "batched"
-
-    def __init__(self, name: str = "batched-sim", **kwargs) -> None:
-        super().__init__(name, **kwargs)
 
 
 class _SignalColumns:

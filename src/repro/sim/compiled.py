@@ -18,7 +18,12 @@ to the paper's language-level setting:
   :class:`~repro.sim.signal.Signal` objects at entry and exit;
 * each state is lowered **once**, to :class:`_StateIR`, and one
   renderer (:func:`_render_segments`) emits both the plain per-state
-  tree and the fused traces of :mod:`repro.sim.trace` from it.
+  tree and, with ``fuse=True``, the fused traces of
+  :mod:`repro.sim.trace` from it.
+
+One class serves three backend names (:mod:`repro.sim.backends`):
+``compiled`` is ``fuse=False``; ``traced`` and ``batched`` are both
+``fuse=True`` and share one kernel.
 
 The backend is *conservative*: any construct outside the supported
 subset — a foreign signal watcher (probe, VCD), a start/done handshake,
@@ -60,7 +65,7 @@ class _Unsupported(Exception):
 
 #: bump whenever generated-code semantics change; part of the
 #: persistent kernel-cache key so stale kernels can never be loaded
-_CODEGEN_VERSION = 4
+_CODEGEN_VERSION = 5
 
 
 # ----------------------------------------------------------------------
@@ -639,7 +644,7 @@ class CompiledProgram:
         self.empty_stop: frozenset = frozenset()
         self._stop_cache: Dict[int, Optional[frozenset]] = {}
         self._vectors: Dict[str, Dict[str, int]] = {}
-        #: trace-fusion summary (traced backend only)
+        #: trace-fusion summary (fused kernels only)
         self.fusion: Optional[dict] = None
 
     def stop_states(self, signal: Signal) -> Optional[frozenset]:
@@ -805,8 +810,6 @@ def _generate(sim: Simulator, facts: _DesignFacts) -> Tuple[dict, object]:
     fault = getattr(sim, "fault_spec", None)
     fault_sig = force = flip = None
     if fault is not None:
-        if getattr(sim, "_kernel_kind", "compiled") == "batched":
-            raise _Unsupported("fault injection on batched kernels")
         fault_sig = sim._signals.get(fault.signal)
         if fault_sig is None or id(fault_sig) not in local:
             raise _Unsupported(
@@ -963,9 +966,9 @@ def _generate(sim: Simulator, facts: _DesignFacts) -> Tuple[dict, object]:
         state_ir.append(ir)
         eval_static[index] = len(live_ops)
 
-    # --- trace fusion (traced and batched backends) --------------------
+    # --- trace fusion (fuse=True: traced and batched backends) ---------
     fusion = None
-    if getattr(sim, "_kernel_kind", "compiled") in ("traced", "batched"):
+    if sim.fuse:
         from .trace import build_fusion  # sibling module imports us back
 
         fusion = build_fusion(
@@ -1180,13 +1183,17 @@ class CompiledSimulator(Simulator):
     per-design function; everything else — and any unsupported design —
     uses the inherited event-driven kernel.  ``fallback_reason`` records
     why compilation was declined, if it was.
+
+    ``fuse=True`` adds hot-path trace fusion (:mod:`repro.sim.trace`);
+    designs with no fusable traces then run exactly the plain kernel.
+    The flag is part of the kernel-cache key, and the backend registry
+    is the only place that sets it.
     """
 
-    #: distinguishes kernel flavours in codegen and the kernel cache
-    _kernel_kind = "compiled"
-
-    def __init__(self, name: str = "compiled-sim", **kwargs) -> None:
+    def __init__(self, name: str = "compiled-sim", *, fuse: bool = False,
+                 **kwargs) -> None:
         super().__init__(name, **kwargs)
+        self.fuse = fuse
         self._program: Optional[CompiledProgram] = None
         self.fallback_reason: Optional[str] = None
         self.coverage_enabled = False
@@ -1239,6 +1246,14 @@ class CompiledSimulator(Simulator):
             for name in program.state_active_ops[index]:
                 out[name] = out.get(name, 0) + visits
         return out
+
+    def fusion_report(self) -> Optional[dict]:
+        """The fusion summary for the current program (None when the
+        kernel does not fuse, the design fell back or nothing fused)."""
+        program = self._ensure_program()
+        if program is None:
+            return None
+        return program.fusion
 
     # -- hot-spot profiling ---------------------------------------------
     def enable_profile(self) -> None:
@@ -1324,7 +1339,7 @@ class CompiledSimulator(Simulator):
         """Check the persistent kernel cache before generating code.
 
         The key covers everything codegen depends on: the structural
-        design digest, the kernel flavour, the coverage flag, the
+        design digest, the fusion flag, the coverage flag, the
         codegen version and (inside the cache layer) the interpreter's
         bytecode magic.  Designs without a digest (hand-built sims,
         post-elaboration mutations) always build fresh.
@@ -1336,7 +1351,8 @@ class CompiledSimulator(Simulator):
         if self.design_digest:
             cache = default_cache()
             key = digest_parts("kernel-v%d" % _CODEGEN_VERSION,
-                               self.design_digest, self._kernel_kind,
+                               self.design_digest,
+                               "fused" if self.fuse else "plain",
                                int(bool(self.coverage_enabled)),
                                int(bool(self.profile_enabled)),
                                _fault_token(self.fault_spec))

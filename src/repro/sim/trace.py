@@ -1,4 +1,8 @@
-"""Hot-path trace fusion for the compiled kernel (`--backend=traced`).
+"""Hot-path trace fusion for the compiled kernel (``fuse=True``).
+
+A :class:`~repro.sim.compiled.CompiledSimulator` built with
+``fuse=True`` — the ``traced`` and ``batched`` backend names — calls
+:func:`build_fusion` from its code generator.
 
 The compiled backend (:mod:`repro.sim.compiled`) specializes per FSM
 state but still pays, on *every* control step, the outer-loop overhead:
@@ -61,10 +65,10 @@ import itertools
 from collections import Counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from .compiled import (CompiledSimulator, _copy_source, _is_local, _render,
-                       _render_segments, _StateIR, _subst)
+from .compiled import (_copy_source, _is_local, _render, _render_segments,
+                       _StateIR, _subst)
 
-__all__ = ["TracedSimulator", "build_fusion"]
+__all__ = ["build_fusion"]
 
 #: most traces worth guarding in the outer loop; every generic cycle
 #: pays one int-compare per trace guard, so keep the set small
@@ -757,30 +761,3 @@ def build_fusion(*, state_ir, names, sid, static_target, dynamic_fns,
         "n_states": n_states,
     }
     return plan
-
-
-# ----------------------------------------------------------------------
-# The simulator
-# ----------------------------------------------------------------------
-class TracedSimulator(CompiledSimulator):
-    """Compiled backend + hot-path trace fusion (``--backend=traced``).
-
-    Inherits every safety property of :class:`CompiledSimulator`: the
-    same conservative fallback to the event kernel, the same entry/exit
-    Signal sync, the same coverage instrumentation path (fused traces
-    are regenerated with transition tallies, not abandoned).  Designs
-    with no fusable traces run exactly the compiled kernel.
-    """
-
-    _kernel_kind = "traced"
-
-    def __init__(self, name: str = "traced-sim", **kwargs) -> None:
-        super().__init__(name, **kwargs)
-
-    def fusion_report(self) -> Optional[dict]:
-        """The fusion summary for the current program (None when the
-        design fell back or nothing fused)."""
-        program = self._ensure_program()
-        if program is None:
-            return None
-        return program.fusion

@@ -128,6 +128,47 @@ class TestKernelRebind:
         assert (fresh.fusion is not None) == (backend == "traced")
 
 
+class TestFusedKernelSharing:
+    """``traced`` and ``batched`` name one fused kernel: after a traced
+    build of every app configuration, a batched elaboration of each
+    rebinds the same cache entry, while ``compiled`` is a different
+    (plain) kernel."""
+
+    @staticmethod
+    def _sources(backend):
+        from repro.apps import CASE_BUILDERS, suite_case
+        from repro.core import prepare_images
+        from repro.translate import build_simulation
+
+        sources = {}
+        for app in sorted(CASE_BUILDERS):
+            design = suite_case(app).compile()
+            for config in design.configurations:
+                sim_design = build_simulation(
+                    config.datapath, config.fsm, prepare_images(design),
+                    backend=backend)
+                program = sim_design.sim._ensure_program()
+                assert program is not None, sim_design.sim.fallback_reason
+                sources[app, config.name] = program.source
+                sim_design.release()
+        return sources
+
+    def test_batched_after_traced_is_all_hits(self, tmp_path):
+        previous = set_default_cache(KernelCache(tmp_path / "kernels"))
+        try:
+            traced = self._sources("traced")
+            assert len(traced) == 9
+            misses = default_cache().misses
+            batched = self._sources("batched")
+            assert default_cache().misses == misses
+            compiled = self._sources("compiled")
+        finally:
+            set_default_cache(previous)
+        assert batched == traced
+        for key, source in compiled.items():
+            assert source != traced[key], key
+
+
 class TestDigests:
     def test_digest_parts_is_order_sensitive(self):
         assert digest_parts("a", "b") != digest_parts("b", "a")

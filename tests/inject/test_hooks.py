@@ -7,7 +7,8 @@ import pytest
 from repro.apps import suite_case
 from repro.core import prepare_images
 from repro.inject import (FaultDescriptor, FaultloadGenerator, attach_fault,
-                          kernel_spec, output_adjacent_nets, run_injection)
+                          kernel_spec, output_adjacent_nets, run_campaign,
+                          run_injection)
 from repro.rtg import ReconfigurationContext, RtgExecutor
 
 
@@ -236,6 +237,31 @@ class TestInjectPoolParity:
                         for backend, result in seen.items()}
             assert len(set(outcomes.values())) == 1, \
                 (fault.describe(), outcomes)
+
+
+    def test_batched_campaign_keeps_event_hooks(self):
+        """A batched campaign runs threshold's stuck/reg_flip pool
+        faults on the event kernel's hooks (watcher/cycle-hook), never
+        in lanes, with the event campaign's verdicts and cycles."""
+        pool_case = suite_case("threshold")
+        pool_design = pool_case.compile()
+        inputs = pool_case.inputs(0)
+        faults = [fault for fault in FaultloadGenerator(
+                      pool_design, seed=_POOL_SEED).generate(
+                      _POOL_SIZE, kinds=("stuck", "reg_flip", "mem_flip"))
+                  if fault.kind in ("stuck", "reg_flip")]
+        assert faults
+        reports = {backend: run_campaign(pool_design, pool_case.func,
+                                         faults, inputs, backend=backend)
+                   for backend in ("event", "batched")}
+        hooks = {"stuck": "watcher", "reg_flip": "cycle-hook"}
+        for event, batched in zip(reports["event"].results,
+                                  reports["batched"].results):
+            assert batched.fault is event.fault
+            assert batched.mechanism == hooks[batched.fault.kind], \
+                batched.fault.describe()
+            assert (batched.verdict, batched.cycles) == \
+                (event.verdict, event.cycles), batched.fault.describe()
 
 
 class TestConstantNetStuckAt:

@@ -104,8 +104,6 @@ def test_compiled_backend_actually_compiles():
 def test_traced_backend_actually_fuses():
     """Same guard for the trace-fusing tier: fdct1's MAC loop must fuse
     (not fall back, not degenerate to the plain compiled program)."""
-    from repro.sim import TracedSimulator
-
     case = suite_case("fdct1", **SMALL_SIZES["fdct1"])
     design = case.compile()
     images = prepare_images(design, case.inputs(0))
@@ -116,7 +114,7 @@ def test_traced_backend_actually_fuses():
     executor.run()
     assert seen, "on_configure never fired"
     for sim in seen:
-        assert isinstance(sim, TracedSimulator)
+        assert sim.fuse
         assert sim.fallback_reason is None
         report = sim.fusion_report()
         assert report is not None and report["n_traces"] >= 1, report

@@ -17,8 +17,8 @@ from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import prepare_images, verify_design_batch
 from repro.rtg import (ReconfigurationContext, RtgBatchExecutor,
                        RtgExecutor)
-from repro.sim import (SIMULATOR_BACKENDS, BatchedSimulator,
-                       BatchUnsupported, LaneBatch, TracedSimulator)
+from repro.sim import (SIMULATOR_BACKENDS, BatchUnsupported, LaneBatch,
+                       create_simulator)
 
 SMALL_SIZES = {
     "fdct1": {"pixels": 64},
@@ -36,8 +36,8 @@ BATCH = 4
 
 def test_batched_backend_registered():
     assert "batched" in SIMULATOR_BACKENDS
-    assert issubclass(SIMULATOR_BACKENDS["batched"], TracedSimulator)
-    assert SIMULATOR_BACKENDS["batched"] is BatchedSimulator
+    assert create_simulator("batched").fuse
+    assert create_simulator("traced").fuse
 
 
 def _serial(design, inputs, backend):
@@ -222,5 +222,30 @@ class TestLaneBatchValidation:
             with pytest.raises(BatchUnsupported, match="alias"):
                 LaneBatch(design.sim, design.done_signal, design.memories,
                           [lane])
+        finally:
+            design.release()
+
+    def test_armed_fault_spec_is_unsupported(self):
+        """A fault spec's one-shot flip latch cannot serve N lanes, so a
+        faulted kernel is refused before any lane word moves."""
+        from repro.inject import FaultDescriptor, attach_fault
+
+        compiled, design = self._design()
+        try:
+            lanes = [self._lane(compiled, seed) for seed in range(2)]
+            before = [{name: image.words() for name, image in lane.items()}
+                      for lane in lanes]
+            signal = next(name for name in sorted(design.sim.signals)
+                          if name.startswith("n_") and name.endswith("_q"))
+            fault = FaultDescriptor(fault_id="s", kind="stuck",
+                                    target=signal, bit=0, stuck_value=1)
+            with attach_fault(design, fault) as handle:
+                assert handle.mechanism == "kernel"
+                batch = LaneBatch(design.sim, design.done_signal,
+                                  design.memories, lanes)
+                with pytest.raises(BatchUnsupported, match="fault spec"):
+                    batch.run()
+            assert [{name: image.words() for name, image in lane.items()}
+                    for lane in lanes] == before
         finally:
             design.release()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import suite_case
-from repro.sim import CompiledSimulator, TracedSimulator, create_simulator
+from repro.sim import CompiledSimulator, create_simulator
 from repro.translate import build_simulation
 
 from tests.sim.test_kernel import build_accumulator
@@ -40,7 +40,7 @@ class TestFusion:
         guard against a silent no-fusion regression."""
         _ref, dut = _build_pair()
         dut.run_to_done()
-        assert isinstance(dut.sim, TracedSimulator)
+        assert dut.sim.fuse
         assert dut.sim.fallback_reason is None
         report = dut.sim.fusion_report()
         assert report is not None
@@ -127,7 +127,7 @@ class TestCoverage:
 
 class TestFallbacks:
     def test_no_controller_falls_back_to_event_kernel(self):
-        sim = TracedSimulator()
+        sim = CompiledSimulator(fuse=True)
         q = build_accumulator(sim)
         sim.run_cycles(37)
         assert q.value == 37
@@ -166,8 +166,8 @@ class TestFallbacks:
 class TestFactory:
     def test_create_simulator_traced(self):
         sim = create_simulator("traced")
-        assert type(sim) is TracedSimulator
-        assert isinstance(sim, CompiledSimulator)
+        assert type(sim) is CompiledSimulator
+        assert sim.fuse
 
 
 class TestTokenPasses:

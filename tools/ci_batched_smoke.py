@@ -14,6 +14,11 @@ Two gates, cheap enough for every push:
    noise cannot flip the comparison.  Locally the amortized ratio is
    ~3-8x; the gate only asserts >= 1.
 
+After the differential gate the kernel-cache stats line is printed:
+``batched`` and ``traced`` elaborate one fused kernel, so on a
+``REPRO_KERNEL_CACHE`` directory that a traced run filled, the batched
+kernels rebind from disk instead of missing.
+
 Exit status 0 = both gates pass.
 """
 
@@ -22,6 +27,7 @@ from pathlib import Path
 
 from repro.apps import CASE_BUILDERS, suite_case
 from repro.core import prepare_images, verify_design, verify_design_batch
+from repro.core.kernelcache import default_cache
 from repro.rtg import (ReconfigurationContext, RtgBatchExecutor,
                        RtgExecutor)
 
@@ -138,6 +144,9 @@ def perf_gate():
 
 def main() -> int:
     failed = differential_gate()
+    # batched and traced name one fused kernel: on a cache directory a
+    # traced run filled, the batched kernels above are disk hits
+    print(default_cache().describe())
     if failed:
         print(f"differential gate FAILED: {failed}")
         return 1
